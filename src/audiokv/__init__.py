@@ -41,8 +41,6 @@ from .heads import (
     merge_scores,
     save_scores,
     score_heads,
-    step_hit_ratio,
-    topk_indices,
 )
 from .metrics import (
     KvGeometry,

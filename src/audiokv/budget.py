@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, DimensionMismatchError
+from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError
 from .heads import HeadScoreMatrix
 
 DEFAULT_WINDOW = 32
@@ -186,13 +186,17 @@ def save_plan(plan: BudgetPlan, path: str | Path) -> None:
 
 def load_plan(path: str | Path) -> BudgetPlan:
     payload = json.loads(Path(path).read_text())
-    capacities = np.asarray(payload["capacities"], dtype=np.int64)
+    try:
+        capacities = np.asarray(payload["capacities"], dtype=np.int64)
+        plan = BudgetPlan(
+            capacities=capacities,
+            window=int(payload["window"]),
+            base=int(payload["base"]),
+            global_budget=int(payload["budget"]),
+            mode=str(payload["mode"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad plan file: {exc!r}") from exc
     if capacities.ndim != 2:
         raise DimensionMismatchError(f"{path}: capacities must be a 2-D matrix")
-    return BudgetPlan(
-        capacities=capacities,
-        window=int(payload["window"]),
-        base=int(payload["base"]),
-        global_budget=int(payload["budget"]),
-        mode=str(payload["mode"]),
-    )
+    return plan

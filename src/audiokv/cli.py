@@ -35,7 +35,7 @@ from .eviction import (
 from .fixtures import PROFILES, generate_fixture
 from .heads import TopKConfig, load_scores, save_scores, score_heads
 from .metrics import KvGeometry, PolicySpec, run_comparison, write_reports
-from .spectral import SssConfig, sss
+from .spectral import SssConfig, smooth_rows
 from .trace import (
     align_generated_to_words,
     filter_words,
@@ -137,7 +137,7 @@ def cmd_smooth(args: argparse.Namespace) -> int:
         raise AudioKvError(f"cannot parse {args.input}: {exc}") from exc
     if not np.all(np.isfinite(table)):
         raise AudioKvError(f"{args.input}: values must be finite")
-    smoothed = np.column_stack([sss(col, cfg.sss()) for col in table.T])
+    smoothed = smooth_rows(table.T, cfg.sss()).T
     np.savetxt(args.output, smoothed, delimiter=",", fmt="%.17g")
     print(f"smoothed {table.shape[1]} column(s) of {table.shape[0]} values -> {args.output}")
     return 0

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import BudgetPlan
-from .errors import CapacityBelowRecentError, DimensionMismatchError
-from .spectral import SssConfig, sss
+from .errors import CapacityBelowRecentError, DimensionMismatchError, FormatError
+from .spectral import SssConfig, smooth_rows
 from .trace import AttentionTrace
 
 DEFAULT_RECENT = 32
@@ -57,6 +58,15 @@ class EvictionResult:
     def total_retained(self) -> int:
         return sum(len(r) for layer in self.retained for r in layer)
 
+    def mask(self) -> np.ndarray:
+        """[layers, heads, context] bool, True at every retained entry."""
+        layers, heads = self.shape
+        per_head = [r for layer in self.retained for r in layer]
+        head_of = np.repeat(np.arange(layers * heads), [len(r) for r in per_head])
+        mask = np.zeros((layers * heads, self.context_length), dtype=bool)
+        mask[head_of, np.concatenate(per_head)] = True
+        return mask.reshape(layers, heads, self.context_length)
+
 
 def build_observation_window(trace: AttentionTrace, width: int) -> ObservationWindow:
     """Average the last `width` steps' rows, zero-padding vanished tail positions.
@@ -66,27 +76,82 @@ def build_observation_window(trace: AttentionTrace, width: int) -> ObservationWi
     if width < 1:
         raise ValueError("width must be >= 1")
     width = min(width, trace.num_steps)
+    return ObservationWindow(width=width, aggregated=_summed_attention(trace, width) / width)
+
+
+def _summed_attention(trace: AttentionTrace, width: int) -> np.ndarray:
+    """Sum of the last `width` steps' rows, zero-padded to the final context."""
     context = trace.final_context_length
     acc = np.zeros((trace.num_layers, trace.num_heads, context), dtype=np.float64)
     for step in trace.steps[-width:]:
         acc[:, :, : step.context_length] += step.attention
-    acc /= width
-    return ObservationWindow(width=width, aggregated=acc)
+    return acc
 
 
-def _retain_for_head(scores: np.ndarray, capacity: int, recent: int) -> np.ndarray:
-    """Recent positions plus the top-scored older positions, sorted."""
-    context = scores.shape[0]
-    if capacity < recent:
-        raise CapacityBelowRecentError(f"capacity {capacity} < recent window {recent}")
-    capacity = min(capacity, context)
+def topk_mask(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """True at the k[...] highest scores of each row, ties going to the lower index.
+
+    Each row keeps everything above its kth-largest value, then the first of
+    the entries equal to it; one value sort finds the kth value.
+    """
+    context = scores.shape[-1]
+    if context == 0:
+        return np.zeros(scores.shape, dtype=bool)
+    k = np.minimum(k, context)
+    rank = np.minimum(context - k, context - 1)[..., None]
+    kth = np.take_along_axis(np.sort(scores, axis=-1), rank, axis=-1)
+    above = scores > kth
+    tied = scores == kth
+    room = (k - above.sum(axis=-1))[..., None]
+    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
+
+
+def _retain(scores: np.ndarray, capacities: np.ndarray | int, recent: int) -> tuple:
+    """Per head: the recent positions plus the top-scored older positions, sorted.
+
+    scores is [layers, heads, context]; capacities broadcasts to [layers, heads].
+    Ties go to the lower index.
+    """
+    layers, heads, context = scores.shape
+    capacities = np.broadcast_to(capacities, (layers, heads))
+    if np.any(capacities < recent):
+        raise CapacityBelowRecentError(
+            f"capacity {capacities.min()} < recent window {recent}"
+        )
     kept_recent = min(recent, context)
     boundary = context - kept_recent
-    fill = capacity - kept_recent
-    older_order = np.argsort(-scores[:boundary], kind="stable")
-    chosen = older_order[:fill]
-    retained = np.concatenate([chosen, np.arange(boundary, context)])
-    return np.sort(retained.astype(np.int64))
+    fill = np.minimum(capacities, context) - kept_recent
+    mask = np.ones((layers, heads, context), dtype=bool)
+    mask[..., :boundary] = topk_mask(scores[..., :boundary], fill)
+    index = np.nonzero(mask)[-1].astype(np.int64, copy=False)
+    per_head = np.split(index, np.cumsum(mask.sum(axis=-1).ravel())[:-1])
+    return tuple(tuple(per_head[layer * heads : (layer + 1) * heads]) for layer in range(layers))
+
+
+def _pool(scores: np.ndarray, width: int) -> np.ndarray:
+    """`np.convolve(row, ones(width) / width, "same")` on every row at once, bit for bit.
+
+    np.convolve sums each full window in index order (through BLAS dot
+    products once width > 11) and each partial window at the two ends through
+    a BLAS dot product; the same arithmetic is repeated here.
+    """
+    kernel = np.full(width, 1.0 / width)
+    half = width // 2
+    context = scores.shape[-1]
+    pooled = np.empty_like(scores)
+    if context >= width:
+        windows = sliding_window_view(scores, width, axis=-1)
+        if width <= 11:
+            full = windows[..., 0] * kernel[0]
+            for tap in range(1, width):
+                full = full + windows[..., tap] * kernel[tap]
+        else:
+            full = np.vecdot(windows, kernel)
+        pooled[..., half : context - half] = full
+    for i in [*range(min(half, context)), *range(max(context - half, half), context)]:
+        lo, hi = max(i - half, 0), min(i + half + 1, context)
+        pooled[..., i] = np.vecdot(scores[..., lo:hi], kernel[: hi - lo])
+    return pooled
 
 
 def _check_dims(window: ObservationWindow, plan: BudgetPlan) -> None:
@@ -104,28 +169,19 @@ def select_audiokv(
 ) -> EvictionResult:
     """Head-budgeted top-score retention, optionally smoothing scores first."""
     _check_dims(window, plan)
-    layers, heads = window.shape
-    context = window.context_length
-    boundary = max(context - recent, 0)
-    retained = []
-    for layer in range(layers):
-        row = []
-        for head in range(heads):
-            scores = window.aggregated[layer, head]
-            if sss_cfg is not None and boundary > 0:
-                # Only the evictable prefix is scored, so only it is smoothed;
-                # the unconditionally kept recent block would otherwise bleed
-                # into its neighbours through the global filter.
-                scores = scores.copy()
-                scores[:boundary] = sss(scores[:boundary], sss_cfg)
-            row.append(
-                _retain_for_head(scores, int(plan.capacities[layer, head]), recent)
-            )
-        retained.append(tuple(row))
+    scores = window.aggregated
+    boundary = max(window.context_length - recent, 0)
+    if sss_cfg is not None and boundary > 0:
+        # Only the evictable prefix is scored, so only it is smoothed; the
+        # unconditionally kept recent block would otherwise bleed into its
+        # neighbours through the global filter.
+        scores = scores.copy()
+        scores[..., :boundary] = smooth_rows(scores[..., :boundary], sss_cfg)
+    retained = _retain(scores, plan.capacities, recent)
     name = "audiokv" if sss_cfg is not None else "audiokv-nosss"
     return EvictionResult(
         policy_name=name,
-        retained=tuple(retained),
+        retained=retained,
         context_length=window.context_length,
         plan=plan,
     )
@@ -140,20 +196,10 @@ def select_snapkv(
     """Uniform capacity with centered moving-average pooling of the scores."""
     if pool_width < 1 or pool_width % 2 == 0:
         raise ValueError("pool_width must be odd and >= 1")
-    layers, heads = window.shape
-    kernel = np.full(pool_width, 1.0 / pool_width)
-    retained = []
-    for layer in range(layers):
-        row = []
-        for head in range(heads):
-            scores = window.aggregated[layer, head]
-            if pool_width > 1:
-                scores = np.convolve(scores, kernel, mode="same")
-            row.append(_retain_for_head(scores, capacity_per_head, recent))
-        retained.append(tuple(row))
+    retained = _retain(_pool(window.aggregated, pool_width), capacity_per_head, recent)
     return EvictionResult(
         policy_name="snapkv",
-        retained=tuple(retained),
+        retained=retained,
         context_length=window.context_length,
     )
 
@@ -164,18 +210,9 @@ def select_h2o(
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
     """Heavy-hitter retention: attention mass accumulated over every step."""
-    context = trace.final_context_length
-    acc = np.zeros((trace.num_layers, trace.num_heads, context), dtype=np.float64)
-    for step in trace.steps:
-        acc[:, :, : step.context_length] += step.attention
-    retained = []
-    for layer in range(trace.num_layers):
-        row = []
-        for head in range(trace.num_heads):
-            row.append(_retain_for_head(acc[layer, head], capacity_per_head, recent))
-        retained.append(tuple(row))
+    retained = _retain(_summed_attention(trace, trace.num_steps), capacity_per_head, recent)
     return EvictionResult(
-        policy_name="h2o", retained=tuple(retained), context_length=context
+        policy_name="h2o", retained=retained, context_length=trace.final_context_length
     )
 
 
@@ -239,12 +276,14 @@ def save_result(result: EvictionResult, path: str | Path) -> None:
 def load_result(path: str | Path) -> EvictionResult:
     """Read a result file back; the plan summary is not reconstructed."""
     payload = json.loads(Path(path).read_text())
-    retained = tuple(
-        tuple(np.asarray(head, dtype=np.int64) for head in layer)
-        for layer in payload["retained"]
-    )
-    return EvictionResult(
-        policy_name=str(payload["policy"]),
-        retained=retained,
-        context_length=int(payload["context_length"]),
-    )
+    try:
+        return EvictionResult(
+            policy_name=str(payload["policy"]),
+            retained=tuple(
+                tuple(np.asarray(head, dtype=np.int64) for head in layer)
+                for layer in payload["retained"]
+            ),
+            context_length=int(payload["context_length"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad result file: {exc!r}") from exc

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .trace import AttentionTrace, AudioSpan, WordAlignment, WordStepMap, word_to_audio_span
+from .errors import DimensionMismatchError, FormatError
+from .trace import AttentionTrace, WordAlignment, WordStepMap, word_to_audio_span
 
 DEFAULT_TOP_K = 24
 
@@ -38,27 +38,6 @@ class HeadScoreMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.scores.shape
-
-
-def topk_indices(attention_row: np.ndarray, k: int) -> frozenset[int]:
-    """Indices of the k largest attention values, ties going to lower indices."""
-    row = np.asarray(attention_row)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if row.ndim != 1 or row.size < 1:
-        raise ValueError("attention row must be a non-empty 1-D array")
-    if k >= row.size:
-        return frozenset(range(row.size))
-    order = np.argsort(-row, kind="stable")
-    return frozenset(int(i) for i in order[:k])
-
-
-def step_hit_ratio(topk: frozenset[int], span: AudioSpan, k: int) -> float:
-    """Fraction of the top-k indices falling inside the word's audio span."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hits = sum(1 for i in topk if span.start_index <= i <= span.end_index)
-    return hits / k
 
 
 def score_heads(
@@ -113,10 +92,14 @@ def save_scores(matrix: HeadScoreMatrix, path: str | Path) -> None:
 
 def load_scores(path: str | Path) -> HeadScoreMatrix:
     payload = json.loads(Path(path).read_text())
-    scores = np.asarray(payload["scores"], dtype=np.float64)
-    if scores.shape != (payload["num_layers"], payload["num_heads"]):
+    try:
+        scores = np.asarray(payload["scores"], dtype=np.float64)
+        header = (int(payload["num_layers"]), int(payload["num_heads"]))
+        num_samples = int(payload["num_samples"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad head-score file: {exc!r}") from exc
+    if scores.shape != header:
         raise DimensionMismatchError(
-            f"{path}: scores shaped {scores.shape}, header says "
-            f"({payload['num_layers']}, {payload['num_heads']})"
+            f"{path}: scores shaped {scores.shape}, header says {header}"
         )
-    return HeadScoreMatrix(scores=scores, num_samples=int(payload["num_samples"]))
+    return HeadScoreMatrix(scores=scores, num_samples=num_samples)

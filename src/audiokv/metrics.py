@@ -15,8 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,12 +30,12 @@ from .eviction import (
     select_audiokv,
     select_h2o,
     select_snapkv,
+    topk_mask,
 )
 from .spectral import SssConfig
 from .trace import AttentionTrace
 
 DEFAULT_ENTROPY_BINS = 10
-THREADS_ENV_VAR = "AUDIOKV_THREADS"
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,6 @@ class PolicySpec:
     pool_width: int = 1
 
 
-def worker_count() -> int:
-    """Parallelism cap from AUDIOKV_THREADS (unset or 0 means auto)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw or raw == "0":
-        return os.cpu_count() or 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 0")
-    return value
-
-
 def find_eviction_step(trace: AttentionTrace, context_length: int) -> int:
     """Index of the step whose context matches the eviction boundary."""
     for i, step in enumerate(trace.steps):
@@ -119,19 +106,11 @@ def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) 
     """
     boundary = find_eviction_step(trace, result.context_length)
     future = aggregate_future_attention(trace, boundary, horizon, result.context_length)
-    layers, heads = result.shape
-    overlaps = []
-    for layer in range(layers):
-        for head in range(heads):
-            retained = result.retained[layer][head]
-            if len(retained) == 0:
-                overlaps.append(1.0)
-                continue
-            mass = future.aggregated[layer, head]
-            order = np.argsort(-mass, kind="stable")
-            oracle = set(order[: len(retained)].tolist())
-            overlaps.append(len(oracle.intersection(retained.tolist())) / len(oracle))
-    return float(np.mean(overlaps))
+    retained = result.mask()
+    sizes = retained.sum(axis=-1)
+    hits = (retained & topk_mask(future.aggregated, sizes)).sum(axis=-1)
+    overlaps = np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
+    return float(np.mean(overlaps.ravel()))
 
 
 def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
@@ -159,16 +138,15 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
     if bins < 2:
         raise ValueError("bins must be >= 2")
     layers, heads = result.shape
+    context = result.context_length
+    # np.histogram's bin for each position: edges[i] <= position < edges[i+1].
+    bin_of = np.digitize(np.arange(context), np.linspace(0, context, bins + 1)[1:-1])
+    head, index = np.nonzero(result.mask().reshape(layers * heads, context))
+    counts = np.bincount(head * bins + bin_of[index], minlength=layers * heads * bins)
     entropies = []
-    for layer in range(layers):
-        for head in range(heads):
-            retained = result.retained[layer][head]
-            if len(retained) == 0:
-                entropies.append(0.0)
-                continue
-            counts, _ = np.histogram(retained, bins=bins, range=(0, result.context_length))
-            p = counts[counts > 0] / len(retained)
-            entropies.append(float(-np.sum(p * np.log(p))))
+    for row in counts.reshape(layers * heads, bins):
+        p = row[row > 0] / row.sum()
+        entropies.append(float(-np.sum(p * np.log(p))) if len(p) else 0.0)
     return float(np.mean(entropies))
 
 
@@ -258,18 +236,10 @@ def run_comparison(
     context = obs_trace.final_context_length
     future = aggregate_future_attention(trace, obs_steps - 1, horizon, context)
 
-    def job(pair):
-        policy, plan = pair
-        return _run_pair(
-            policy, plan, trace, window, obs_trace, future, geom, horizon, recent, bins
-        )
-
-    pairs = list(zip(policies, plans))
-    workers = worker_count()
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(pairs))) as pool:
-            return list(pool.map(job, pairs))
-    return [job(pair) for pair in pairs]
+    return [
+        _run_pair(policy, plan, trace, window, obs_trace, future, geom, horizon, recent, bins)
+        for policy, plan in zip(policies, plans)
+    ]
 
 
 REPORT_COLUMNS = ("policy", "ratio", "overlap", "mass", "entropy", "bytes")

@@ -19,20 +19,20 @@ from .errors import LengthMismatchError
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Half spectrum of a real signal: floor(L/2)+1 complex bins."""
+    """Half spectra of real signals along the last axis: floor(L/2)+1 complex bins."""
 
     bins: np.ndarray
     original_length: int
 
     @property
     def num_bins(self) -> int:
-        return len(self.bins)
+        return self.bins.shape[-1]
 
 
 @dataclass(frozen=True)
 class SpectralMask:
-    weights: np.ndarray
-    cutoff_index: int
+    weights: np.ndarray  # [..., num_bins]
+    cutoff_index: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,13 @@ class SssConfig:
 
 
 def rfft(signal: np.ndarray) -> Spectrum:
-    """Forward real-input DFT: bins[k] = sum_n x[n] exp(-2*pi*i*k*n/L)."""
+    """Forward real-input DFT along the last axis: bins[k] = sum_n x[n] exp(-2*pi*i*k*n/L)."""
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("signal must be a non-empty 1-D array")
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError("signal must have a non-empty last axis")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal values must be finite")
-    return Spectrum(bins=np.fft.rfft(x), original_length=x.size)
+    return Spectrum(bins=np.fft.rfft(x), original_length=x.shape[-1])
 
 
 def irfft(spectrum: Spectrum, n: int) -> np.ndarray:
@@ -79,23 +79,21 @@ def irfft(spectrum: Spectrum, n: int) -> np.ndarray:
     return np.fft.irfft(spectrum.bins, n=n)
 
 
-def energy_cutoff(spectrum: Spectrum, cutoff_ratio: float) -> int:
+def energy_cutoff(spectrum: Spectrum, cutoff_ratio: float) -> int | np.ndarray:
     """Smallest bin index k whose cumulative |bin|^2 energy reaches the ratio.
 
     Returns num_bins-1 (keep everything) for a zero-energy spectrum, and for
     cutoff_ratio >= 1 so trailing zero-energy bins never shrink the full mask.
+    A 1-D spectrum gives an int; stacked spectra give one index per signal.
     """
     if not 0.0 < cutoff_ratio <= 1.0:
         raise ValueError(f"cutoff_ratio must be in (0, 1], got {cutoff_ratio}")
-    last = spectrum.num_bins - 1
-    if cutoff_ratio >= 1.0:
-        return last
-    energy = np.abs(spectrum.bins) ** 2
-    cum = np.cumsum(energy)
-    total = cum[-1]
-    if total <= 0.0:
-        return last
-    return int(np.searchsorted(cum, total * cutoff_ratio, side="left"))
+    cum = np.cumsum(np.abs(spectrum.bins) ** 2, axis=-1)
+    total = cum[..., -1]
+    reached = np.argmax(cum >= (total * cutoff_ratio)[..., None], axis=-1)
+    keep_all = (total <= 0.0) | (cutoff_ratio >= 1.0)
+    cutoff = np.where(keep_all, spectrum.num_bins - 1, reached)
+    return int(cutoff) if cutoff.ndim == 0 else cutoff
 
 
 def default_transition_bins(num_bins: int) -> int:
@@ -103,19 +101,23 @@ def default_transition_bins(num_bins: int) -> int:
     return max(2, math.ceil(0.05 * num_bins))
 
 
-def build_mask(cutoff_index: int, length: int, transition_bins: int) -> SpectralMask:
-    """Low-pass mask: ones through cutoff_index, cosine roll-off, zeros beyond."""
-    if not 0 <= cutoff_index < length:
+def build_mask(
+    cutoff_index: int | np.ndarray, length: int, transition_bins: int
+) -> SpectralMask:
+    """Low-pass mask: ones through cutoff_index, cosine roll-off, zeros beyond.
+
+    An array of cutoffs gives one mask row per cutoff.
+    """
+    cutoff = np.asarray(cutoff_index)
+    if np.any((cutoff < 0) | (cutoff >= length)):
         raise ValueError(f"cutoff_index {cutoff_index} out of range for {length} bins")
-    weights = np.zeros(length, dtype=np.float64)
-    weights[: cutoff_index + 1] = 1.0
-    if transition_bins > 0:
-        offsets = np.arange(1, transition_bins + 1)
-        stop = min(cutoff_index + transition_bins, length - 1)
-        count = stop - cutoff_index
-        if count > 0:
-            ramp = 0.5 * (1.0 + np.cos(np.pi * offsets[:count] / transition_bins))
-            weights[cutoff_index + 1 : cutoff_index + 1 + count] = ramp
+    # profile[d] weighs the bin d bins past the cutoff; d is clipped to [0, T+1].
+    profile = np.zeros(transition_bins + 2, dtype=np.float64)
+    profile[0] = 1.0
+    offsets = np.arange(1, transition_bins + 1)
+    profile[1:-1] = 0.5 * (1.0 + np.cos(np.pi * offsets / transition_bins))
+    distance = np.arange(length) - cutoff[..., None]
+    weights = profile[np.clip(distance, 0, transition_bins + 1)]
     return SpectralMask(weights=weights, cutoff_index=cutoff_index)
 
 
@@ -124,6 +126,12 @@ def sss(signal: np.ndarray, config: SssConfig) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("signal must be a non-empty 1-D array")
+    return smooth_rows(x, config)
+
+
+def smooth_rows(signals: np.ndarray, config: SssConfig) -> np.ndarray:
+    """Apply sss along the last axis of an N-D array, all signals at once."""
+    x = np.asarray(signals, dtype=np.float64)
     if config.mix_alpha == 0.0:
         return x.copy()
     spectrum = rfft(x)
@@ -134,14 +142,6 @@ def sss(signal: np.ndarray, config: SssConfig) -> np.ndarray:
         else config.transition_bins
     )
     mask = build_mask(cutoff, spectrum.num_bins, transition)
-    filtered = Spectrum(bins=spectrum.bins * mask.weights, original_length=x.size)
-    smoothed = irfft(filtered, x.size)
+    filtered = Spectrum(bins=spectrum.bins * mask.weights, original_length=x.shape[-1])
+    smoothed = irfft(filtered, x.shape[-1])
     return (1.0 - config.mix_alpha) * x + config.mix_alpha * smoothed
-
-
-def smooth_rows(matrix: np.ndarray, config: SssConfig) -> np.ndarray:
-    """Apply sss independently to each row of a 2-D array."""
-    rows = np.asarray(matrix, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("expected a 2-D array of signals")
-    return np.stack([sss(row, config) for row in rows])

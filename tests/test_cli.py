@@ -155,6 +155,35 @@ class TestAllocateCmd:
             ["allocate", "--scores", str(scores_path), "--out", str(tmp_path / "p.json")]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"num_layers": 1, "num_heads": 2, "num_samples": 3},
+            {"num_layers": 1, "num_heads": 2, "num_samples": 3, "scores": "high"},
+            {"num_layers": "one", "num_heads": 2, "num_samples": 3, "scores": [[0.1, 0.2]]},
+            [[0.1, 0.2]],
+        ],
+        ids=["missing-scores", "scores-not-numbers", "layers-not-int", "not-an-object"],
+    )
+    def test_malformed_scores_file_exits_2(self, tmp_path, capsys, payload):
+        scores_path = tmp_path / "scores.json"
+        scores_path.write_text(json.dumps(payload))
+        code = main(
+            [
+                "allocate",
+                "--scores",
+                str(scores_path),
+                "--budget",
+                "100",
+                "--window",
+                "4",
+                "--out",
+                str(tmp_path / "p.json"),
+            ]
+        )
+        assert code == 2
+        assert "scores.json" in capsys.readouterr().err
+
 
 class TestSimulateCmd:
     @pytest.mark.parametrize("policy", ["snapkv", "h2o", "adakv", "audiokv", "pyramid"])
@@ -178,6 +207,34 @@ class TestSimulateCmd:
         payload = json.loads(out.read_text())
         assert payload["policy"] in (policy, "audiokv")
         assert len(payload["retained"]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"window": 32, "base": 0, "budget": 8, "mode": "uniform"},
+            {"window": 32, "base": 0, "budget": 8, "mode": "uniform", "capacities": [["x"]]},
+            {"window": None, "base": 0, "budget": 8, "mode": "uniform", "capacities": [[1]]},
+        ],
+        ids=["missing-capacities", "capacities-not-ints", "window-not-int"],
+    )
+    def test_malformed_plan_file_exits_2(self, fixture_dir, tmp_path, capsys, payload):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(payload))
+        code = main(
+            [
+                "simulate",
+                "--trace",
+                str(fixture_dir / "trace.akvt"),
+                "--policy",
+                "audiokv",
+                "--plan",
+                str(plan_path),
+                "--out",
+                str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert "plan.json" in capsys.readouterr().err
 
 
 class TestCompareCmd:
@@ -277,6 +334,43 @@ class TestCompareCmd:
                 str(tmp_path / "y.csv"),
             ]
         ) == 2
+
+
+# `compare` on `gen-fixture spike-plateau --seed 7` with the default ratios,
+# as the per-head implementation wrote it; any change to selection, scoring
+# or formatting shows up here byte for byte.
+SEED_7_REPORT = """\
+policy,ratio,overlap,mass,entropy,bytes
+snapkv,0.3989071038,0.4543378995,0.5544168585,2.177851,448512
+snapkv+sss,0.3989071038,0.4583333333,0.5660304818,2.072265761,448512
+audiokv-nosss,0.3989071038,0.4804299669,0.5787699117,2.155330601,448512
+audiokv,0.3989071038,0.4846875683,0.5890934599,2.06458281,448512
+snapkv,0.5992714026,0.6519756839,0.7481545987,2.248154752,673792
+snapkv+sss,0.5992714026,0.6542553191,0.7493596096,2.225496288,673792
+audiokv-nosss,0.5992714026,0.6113325746,0.7265462303,2.264444891,673792
+audiokv,0.5992714026,0.6029811441,0.7253242598,2.244490096,673792
+snapkv,0.7996357013,0.8166287016,0.8760110038,2.287927065,899072
+snapkv+sss,0.7996357013,0.7932801822,0.8724534244,2.286720894,899072
+audiokv-nosss,0.7984972678,0.7886122025,0.8409209616,2.296908729,897792
+audiokv,0.7984972678,0.7873528973,0.8409217043,2.297333282,897792
+"""
+
+
+def test_seed_7_report_bytes_are_pinned(tmp_path):
+    fx, report = tmp_path / "fx", tmp_path / "report.csv"
+    assert main(["gen-fixture", "--profile", "spike-plateau", "--seed", "7", "--out", str(fx)]) == 0
+    assert main(
+        [
+            "compare",
+            "--trace",
+            str(fx / "trace.akvt"),
+            "--alignment",
+            str(fx / "alignment.json"),
+            "--out",
+            str(report),
+        ]
+    ) == 0
+    assert report.read_text() == SEED_7_REPORT
 
 
 class TestUsageErrors:

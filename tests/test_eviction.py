@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from audiokv.budget import BudgetPlan
-from audiokv.errors import CapacityBelowRecentError
+from audiokv.errors import CapacityBelowRecentError, FormatError
 from audiokv.eviction import (
     ObservationWindow,
     build_observation_window,
@@ -145,6 +147,12 @@ class TestSelectSnapkv:
         window = window_from_scores([0.2, 0.3, 0.5])
         result = select_snapkv(window, capacity_per_head=3, pool_width=1, recent=1)
         assert result.retained[0][0].tolist() == [0, 1, 2]
+
+    def test_context_shorter_than_pool_width_stays_in_range(self):
+        # Every position's window covers the whole row, so all pooled scores tie.
+        window = window_from_scores([0.1, 0.5, 0.2])
+        result = select_snapkv(window, capacity_per_head=2, pool_width=7, recent=1)
+        assert result.retained[0][0].tolist() == [0, 2]
 
     def test_even_pool_width_rejected(self):
         window = window_from_scores([0.5, 0.5])
@@ -291,3 +299,21 @@ class TestResultIo:
         assert loaded.policy_name == result.policy_name
         assert loaded.context_length == result.context_length
         assert np.array_equal(loaded.retained[0][0], result.retained[0][0])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"policy": "p", "context_length": 4},
+            {"policy": "p", "context_length": "four", "retained": [[[0, 1]]]},
+            {"policy": "p", "context_length": 4, "retained": 7},
+            {"policy": "p", "context_length": 4, "retained": [[["a"]]]},
+        ],
+        ids=["missing-retained", "context-not-int", "retained-not-nested", "index-not-int"],
+    )
+    def test_malformed_file_raises_format_error(self, tmp_path, payload):
+        from audiokv.eviction import load_result
+
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError):
+            load_result(path)

@@ -10,8 +10,6 @@ from audiokv.heads import (
     merge_scores,
     save_scores,
     score_heads,
-    step_hit_ratio,
-    topk_indices,
 )
 from audiokv.trace import (
     AttentionTrace,
@@ -22,6 +20,8 @@ from audiokv.trace import (
     align_generated_to_words,
     filter_words,
 )
+
+from heads_oracle import step_hit_ratio, topk_indices
 
 
 class TestTopkIndices:

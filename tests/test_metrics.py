@@ -14,7 +14,6 @@ from audiokv.metrics import (
     reports_to_csv,
     retained_mass,
     run_comparison,
-    worker_count,
     write_reports,
 )
 from audiokv.trace import AttentionTrace, DecodingStep
@@ -215,27 +214,6 @@ class TestRunComparison:
         assert overlaps == sorted(overlaps)
         assert masses == sorted(masses)
         assert reports[-1].oracle_overlap == 1.0
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("AUDIOKV_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("AUDIOKV_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.delenv("AUDIOKV_THREADS")
-        assert worker_count() >= 1
-
-    def test_thread_cap_does_not_change_reports(self, monkeypatch):
-        fixture = generate_fixture("spike-plateau", 3)
-        trace = fixture.trace
-        context = trace.steps[31].context_length
-        plan = self.uniform_plan(trace.num_layers, trace.num_heads, int(0.5 * context))
-        policies = [PolicySpec(name=f"p{i}") for i in range(3)]
-        plans = [plan] * 3
-        monkeypatch.setenv("AUDIOKV_THREADS", "1")
-        serial = run_comparison(trace, policies, plans, observation_width=32, recent=32)
-        monkeypatch.setenv("AUDIOKV_THREADS", "4")
-        threaded = run_comparison(trace, policies, plans, observation_width=32, recent=32)
-        assert serial == threaded
 
 
 class TestReportOutput:

@@ -1,0 +1,152 @@
+"""The batched selection kernels agree exactly with their per-head oracles."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import retain_oracle as oracle
+from audiokv.budget import BudgetPlan
+from audiokv.eviction import (
+    EvictionResult,
+    ObservationWindow,
+    _pool,
+    select_audiokv,
+    select_h2o,
+    select_snapkv,
+)
+from audiokv.metrics import coverage_entropy, oracle_overlap
+from audiokv.spectral import SssConfig, smooth_rows
+from audiokv.trace import AttentionTrace, DecodingStep
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+# A few distinct values make ties common; seeded uniform draws make them rare
+# and exercise the rounding of every arithmetic step.
+tied = st.sampled_from([0.0, 0.125, 0.5, 1.0])
+
+
+@st.composite
+def score_tensors(draw, min_context=1, max_context=60, shape=None):
+    shape = shape or (
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(min_context, max_context)),
+    )
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, shape, elements=tied))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) ** 3
+
+
+@st.composite
+def sss_configs(draw):
+    return SssConfig(
+        cutoff_ratio=draw(st.sampled_from([0.05, 0.3, 0.7, 0.999, 1.0])),
+        mix_alpha=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        transition_bins=draw(st.sampled_from([None, 0, 1, 3, 8])),
+    )
+
+
+@st.composite
+def capacities_for(draw, shape, context):
+    recent = draw(st.integers(0, context + 3))
+    caps = draw(arrays(np.int64, shape, elements=st.integers(recent, context + 3)))
+    return recent, caps
+
+
+def assert_same_retained(got, expected):
+    assert len(got) == len(expected)
+    for got_row, expected_row in zip(got, expected):
+        assert len(got_row) == len(expected_row)
+        for g, e in zip(got_row, expected_row):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, e)
+
+
+def plan_of(capacities):
+    return BudgetPlan(
+        capacities=capacities, window=0, base=0, global_budget=int(capacities.sum()), mode="test"
+    )
+
+
+@PROPERTY
+@given(data=st.data(), scores=score_tensors(), sss_cfg=st.one_of(st.none(), sss_configs()))
+def test_select_audiokv_matches_oracle(data, scores, sss_cfg):
+    recent, caps = data.draw(capacities_for(scores.shape[:2], scores.shape[-1]))
+    window = ObservationWindow(width=1, aggregated=scores)
+    result = select_audiokv(window, plan_of(caps), sss_cfg, recent)
+    expected = oracle.select_audiokv(window, plan_of(caps), sss_cfg, recent)
+    assert_same_retained(result.retained, expected)
+
+
+@PROPERTY
+@given(data=st.data(), pool_width=st.sampled_from([1, 3, 5, 7, 11, 13, 15]))
+def test_select_snapkv_matches_oracle(data, pool_width):
+    scores = data.draw(score_tensors(min_context=pool_width))
+    context = scores.shape[-1]
+    recent = data.draw(st.integers(0, context + 3))
+    capacity = data.draw(st.integers(recent, context + 3))
+    window = ObservationWindow(width=1, aggregated=scores)
+    result = select_snapkv(window, capacity, pool_width, recent)
+    expected = oracle.select_snapkv(window, capacity, pool_width, recent)
+    assert_same_retained(result.retained, expected)
+
+
+def trace_of(attention):
+    layers, heads = attention[0].shape[:2]
+    steps = tuple(DecodingStep(i, "", a.astype(np.float32)) for i, a in enumerate(attention))
+    return AttentionTrace(
+        num_layers=layers,
+        num_heads=heads,
+        steps=steps,
+        audio_start=0,
+        num_audio_tokens=1,
+        total_duration_s=1.0,
+    )
+
+
+@PROPERTY
+@given(data=st.data(), scores=score_tensors(max_context=40))
+def test_select_h2o_matches_oracle(data, scores):
+    context = scores.shape[-1]
+    contexts = sorted(data.draw(st.lists(st.integers(1, context), max_size=3))) + [context]
+    trace = trace_of([scores[..., :c] for c in contexts])
+    recent = data.draw(st.integers(0, context + 3))
+    capacity = data.draw(st.integers(recent, context + 3))
+    result = select_h2o(trace, capacity, recent)
+    assert_same_retained(result.retained, oracle.select_h2o(trace, capacity, recent))
+
+
+@PROPERTY
+@given(
+    scores=score_tensors(max_context=80),
+    zero_rows=st.lists(st.booleans(), min_size=12, max_size=12),
+    cfg=sss_configs(),
+)
+def test_smooth_rows_matches_oracle(scores, zero_rows, cfg):
+    flat = scores.reshape(-1, scores.shape[-1])
+    flat[np.array(zero_rows[: len(flat)])] = 0.0
+    assert np.array_equal(smooth_rows(scores, cfg), oracle.smooth_rows(scores, cfg))
+
+
+@PROPERTY
+@given(data=st.data(), scores=score_tensors(), bins=st.integers(2, 12))
+def test_metrics_match_per_head_oracle(data, scores, bins):
+    context = scores.shape[-1]
+    kept = data.draw(arrays(bool, scores.shape))
+    retained = tuple(tuple(np.flatnonzero(head).astype(np.int64) for head in row) for row in kept)
+    result = EvictionResult(policy_name="p", retained=retained, context_length=context)
+    assert coverage_entropy(result, bins) == oracle.coverage_entropy(retained, context, bins)
+    future = data.draw(score_tensors(shape=scores.shape)).astype(np.float32)
+    trace = trace_of([scores, future])
+    expected = oracle.oracle_overlap(retained, future.astype(np.float64))
+    assert oracle_overlap(result, trace, 1) == expected
+
+
+@PROPERTY
+@given(data=st.data(), width=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15, 17]))
+def test_pooling_is_bit_identical_to_np_convolve(data, width):
+    scores = data.draw(score_tensors(min_context=width, max_context=80))
+    kernel = np.full(width, 1.0 / width)
+    expected = np.apply_along_axis(np.convolve, -1, scores, kernel, mode="same")
+    assert np.array_equal(_pool(scores, width), expected)
