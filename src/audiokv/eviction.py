@@ -88,29 +88,40 @@ def _summed_attention(trace: AttentionTrace, width: int) -> np.ndarray:
     return acc
 
 
-def topk_mask(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
+def topk_mask(scores: np.ndarray, k: np.ndarray, ranked: np.ndarray | None = None) -> np.ndarray:
     """True at the k[...] highest scores of each row, ties going to the lower index.
 
-    Each row keeps everything above its kth-largest value, then the first of
-    the entries equal to it; one value sort finds the kth value.
+    This is where every selection and the oracle overlap rank: each row keeps
+    everything above its kth-largest value, then the first of the entries
+    equal to it. The kth value is read off `ranked`, the value sort of
+    `scores` along the last axis, which callers ranking one array under
+    several k sort once and pass in; without it the scores are sorted here.
     """
     context = scores.shape[-1]
     if context == 0:
         return np.zeros(scores.shape, dtype=bool)
+    if ranked is None:
+        ranked = np.sort(scores, axis=-1)
     k = np.minimum(k, context)
     rank = np.minimum(context - k, context - 1)[..., None]
-    kth = np.take_along_axis(np.sort(scores, axis=-1), rank, axis=-1)
+    kth = np.take_along_axis(ranked, rank, axis=-1)
     above = scores > kth
     tied = scores == kth
     room = (k - above.sum(axis=-1))[..., None]
     return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
-def _retain(scores: np.ndarray, capacities: np.ndarray | int, recent: int) -> tuple:
+def _retain(
+    scores: np.ndarray,
+    capacities: np.ndarray | int,
+    recent: int,
+    ranked: np.ndarray | None = None,
+) -> tuple:
     """Per head: the recent positions plus the top-scored older positions, sorted.
 
     scores is [layers, heads, context]; capacities broadcasts to [layers, heads].
-    Ties go to the lower index.
+    `ranked`, if given, is the value sort of the evictable prefix, as
+    `rank_scores` returns it. Ties go to the lower index.
     """
     layers, heads, context = scores.shape
     capacities = np.broadcast_to(capacities, (layers, heads))
@@ -122,7 +133,7 @@ def _retain(scores: np.ndarray, capacities: np.ndarray | int, recent: int) -> tu
     boundary = context - kept_recent
     fill = np.minimum(capacities, context) - kept_recent
     mask = np.ones((layers, heads, context), dtype=bool)
-    mask[..., :boundary] = topk_mask(scores[..., :boundary], fill)
+    mask[..., :boundary] = topk_mask(scores[..., :boundary], fill, ranked)
     index = np.nonzero(mask)[-1].astype(np.int64, copy=False)
     per_head = np.split(index, np.cumsum(mask.sum(axis=-1).ravel())[:-1])
     return tuple(tuple(per_head[layer * heads : (layer + 1) * heads]) for layer in range(layers))
@@ -161,14 +172,15 @@ def _check_dims(window: ObservationWindow, plan: BudgetPlan) -> None:
         )
 
 
-def select_audiokv(
-    window: ObservationWindow,
-    plan: BudgetPlan,
-    sss_cfg: SssConfig | None,
-    recent: int = DEFAULT_RECENT,
-) -> EvictionResult:
-    """Head-budgeted top-score retention, optionally smoothing scores first."""
-    _check_dims(window, plan)
+def rank_scores(
+    window: ObservationWindow, sss_cfg: SssConfig | None, recent: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scores `select_audiokv` ranks, and the value sort of their evictable prefix.
+
+    Every plan selected from one window with one SSS config and recent
+    window ranks the same two arrays, so a caller selecting under several
+    plans builds them once and passes them to `select_audiokv` as `ranking`.
+    """
     scores = window.aggregated
     boundary = max(window.context_length - recent, 0)
     if sss_cfg is not None and boundary > 0:
@@ -177,7 +189,26 @@ def select_audiokv(
         # neighbours through the global filter.
         scores = scores.copy()
         scores[..., :boundary] = smooth_rows(scores[..., :boundary], sss_cfg)
-    retained = _retain(scores, plan.capacities, recent)
+    return scores, np.sort(scores[..., :boundary], axis=-1)
+
+
+def select_audiokv(
+    window: ObservationWindow,
+    plan: BudgetPlan,
+    sss_cfg: SssConfig | None,
+    recent: int = DEFAULT_RECENT,
+    ranking: tuple[np.ndarray, np.ndarray] | None = None,
+) -> EvictionResult:
+    """Head-budgeted top-score retention, optionally smoothing scores first.
+
+    `ranking`, if given, must be `rank_scores(window, sss_cfg, recent)`;
+    without it that is built here.
+    """
+    _check_dims(window, plan)
+    if ranking is None:
+        ranking = rank_scores(window, sss_cfg, recent)
+    scores, ranked = ranking
+    retained = _retain(scores, plan.capacities, recent, ranked)
     name = "audiokv" if sss_cfg is not None else "audiokv-nosss"
     return EvictionResult(
         policy_name=name,

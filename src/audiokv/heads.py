@@ -50,6 +50,12 @@ def score_heads(
 
     Each step is scored against the span of its own word; steps not aligned
     to any word are ignored. An empty map yields a zero matrix.
+
+    The top-k of every row of a step is ranked here from one value sort: the
+    kth-largest value splits each row into the entries above it, which are
+    all kept, and the ties at it, of which the first `room` are kept, so the
+    set is a stable descending argsort's first k. Hits are counted per span
+    without building that set.
     """
     shape = (trace.num_layers, trace.num_heads)
     totals = np.zeros(shape, dtype=np.float64)
@@ -57,13 +63,19 @@ def score_heads(
     steps_by_index = {step.step_index: step for step in trace.steps}
     for word_index, step_indices in word_step_map.entries:
         span = word_to_audio_span(words[word_index], trace)
+        lo, hi = span.start_index, span.end_index + 1
         for step_index in sorted(step_indices):
             step = steps_by_index[step_index]
             rows = step.attention  # [L, H, context]
             k = min(cfg.k, step.context_length)
-            order = np.argsort(-rows, axis=-1, kind="stable")[..., :k]
-            in_span = (order >= span.start_index) & (order <= span.end_index)
-            totals += in_span.sum(axis=-1) / cfg.k
+            kth = np.sort(rows, axis=-1)[..., step.context_length - k, None]
+            room = k - np.count_nonzero(rows > kth, axis=-1)
+            tied_before = np.count_nonzero(rows[..., :lo] == kth, axis=-1)
+            inside = rows[..., lo:hi]
+            hits = np.count_nonzero(inside > kth, axis=-1) + np.clip(
+                room - tied_before, 0, np.count_nonzero(inside == kth, axis=-1)
+            )
+            totals += hits / cfg.k
             num_samples += 1
     scores = totals / num_samples if num_samples else totals
     return HeadScoreMatrix(scores=scores, num_samples=num_samples)

@@ -26,6 +26,7 @@ from .eviction import (
     EvictionResult,
     ObservationWindow,
     build_observation_window,
+    rank_scores,
     select_adakv,
     select_audiokv,
     select_h2o,
@@ -106,9 +107,14 @@ def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) 
     """
     boundary = find_eviction_step(trace, result.context_length)
     future = aggregate_future_attention(trace, boundary, horizon, result.context_length)
+    return _overlap(result, future.aggregated, np.sort(future.aggregated, axis=-1))
+
+
+def _overlap(result: EvictionResult, future: np.ndarray, ranked: np.ndarray) -> float:
+    """`oracle_overlap` against a held-out aggregate and its value sort."""
     retained = result.mask()
     sizes = retained.sum(axis=-1)
-    hits = (retained & topk_mask(future.aggregated, sizes)).sum(axis=-1)
+    hits = (retained & topk_mask(future, sizes, ranked)).sum(axis=-1)
     overlaps = np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
     return float(np.mean(overlaps.ravel()))
 
@@ -166,17 +172,17 @@ def _uniform_capacity(plan: BudgetPlan) -> int:
 def _run_pair(
     policy: PolicySpec,
     plan: BudgetPlan,
-    trace: AttentionTrace,
     window: ObservationWindow,
+    rankings: dict,
     obs_trace: AttentionTrace,
     future: ObservationWindow,
+    future_ranked: np.ndarray,
     geom: KvGeometry,
-    horizon: int,
     recent: int,
     bins: int,
 ) -> RetentionReport:
     if policy.selector == "audiokv":
-        result = select_audiokv(window, plan, policy.sss, recent)
+        result = select_audiokv(window, plan, policy.sss, recent, rankings[policy.sss])
     elif policy.selector == "snapkv":
         result = select_snapkv(window, _uniform_capacity(plan), policy.pool_width, recent)
     elif policy.selector == "h2o":
@@ -196,7 +202,7 @@ def _run_pair(
     return RetentionReport(
         policy_name=policy.name,
         retention_ratio=ratio,
-        oracle_overlap=oracle_overlap(result, trace, horizon),
+        oracle_overlap=_overlap(result, future.aggregated, future_ranked),
         coverage_entropy=coverage_entropy(result, bins),
         mass_retained=retained_mass(result, future),
         memory_bytes=memory_footprint(result, geom),
@@ -217,8 +223,10 @@ def run_comparison(
     """Replay the trace once per (policy, plan) pair, in the order given.
 
     The first `observation_width` steps feed the policies; the held-out steps
-    (up to `horizon` of them) score the results. Reports come back in input
-    order regardless of worker parallelism.
+    (up to `horizon` of them) score the results. Pairs run one after another
+    and reports come back in input order. The window's scores are smoothed
+    and sorted once per distinct SSS config and the held-out aggregate is
+    sorted once; every pair ranks against those.
     """
     if len(policies) != len(plans):
         raise ValueError("policies and plans must pair up one to one")
@@ -235,9 +243,15 @@ def run_comparison(
     window = build_observation_window(obs_trace, obs_steps)
     context = obs_trace.final_context_length
     future = aggregate_future_attention(trace, obs_steps - 1, horizon, context)
-
+    future_ranked = np.sort(future.aggregated, axis=-1)
+    rankings = {
+        sss: rank_scores(window, sss, recent)
+        for sss in dict.fromkeys(p.sss for p in policies if p.selector == "audiokv")
+    }
     return [
-        _run_pair(policy, plan, trace, window, obs_trace, future, geom, horizon, recent, bins)
+        _run_pair(
+            policy, plan, window, rankings, obs_trace, future, future_ranked, geom, recent, bins
+        )
         for policy, plan in zip(policies, plans)
     ]
 

@@ -152,7 +152,8 @@ def validate_trace(trace: AttentionTrace) -> None:
         prev_context = step.context_length
         sums = step.attention.sum(axis=-1, dtype=np.float64)
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > ROW_SUM_TOLERANCE:
+        # Written as a negation so a NaN sum, which compares false, fails too.
+        if not worst <= ROW_SUM_TOLERANCE:
             raise IntegrityError(
                 f"step {position} attention row sums off by {worst:.2e} "
                 f"(tolerance {ROW_SUM_TOLERANCE})"

@@ -6,7 +6,8 @@ older positions, and `sss` smooths one signal with a searchsorted energy
 cutoff and a mask built slice by slice. The `select_*` helpers apply them head
 by head, and `oracle_overlap` / `coverage_entropy` score one head at a time
 with sets and `np.histogram`, so tests can require the batched code to match
-them exactly.
+them exactly. `topk_mask` is the batched ranking sorting its own rows, so a
+precomputed sort passed to the real one can be checked against it.
 """
 
 import math
@@ -29,6 +30,20 @@ def retain_for_head(scores, capacity, recent):
     chosen = older_order[:fill]
     retained = np.concatenate([chosen, np.arange(boundary, context)])
     return np.sort(retained.astype(np.int64))
+
+
+def topk_mask(scores, k):
+    """True at the k[...] highest scores of each row, ties going to the lower index."""
+    context = scores.shape[-1]
+    if context == 0:
+        return np.zeros(scores.shape, dtype=bool)
+    k = np.minimum(k, context)
+    rank = np.minimum(context - k, context - 1)[..., None]
+    kth = np.take_along_axis(np.sort(scores, axis=-1), rank, axis=-1)
+    above = scores > kth
+    tied = scores == kth
+    room = (k - above.sum(axis=-1))[..., None]
+    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
 def energy_cutoff(bins, cutoff_ratio):

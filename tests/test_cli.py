@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from audiokv.cli import main
 from audiokv.heads import load_scores
-from audiokv.trace import load_trace
+from audiokv.trace import load_trace, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -356,9 +357,9 @@ audiokv,0.7984972678,0.7873528973,0.8409217043,2.297333282,897792
 """
 
 
-def test_seed_7_report_bytes_are_pinned(tmp_path):
+def compare_fixture(tmp_path, profile, seed):
     fx, report = tmp_path / "fx", tmp_path / "report.csv"
-    assert main(["gen-fixture", "--profile", "spike-plateau", "--seed", "7", "--out", str(fx)]) == 0
+    assert main(["gen-fixture", "--profile", profile, "--seed", str(seed), "--out", str(fx)]) == 0
     assert main(
         [
             "compare",
@@ -370,7 +371,59 @@ def test_seed_7_report_bytes_are_pinned(tmp_path):
             str(report),
         ]
     ) == 0
-    assert report.read_text() == SEED_7_REPORT
+    return report.read_text()
+
+
+def test_seed_7_report_bytes_are_pinned(tmp_path):
+    assert compare_fixture(tmp_path, "spike-plateau", 7) == SEED_7_REPORT
+
+
+# `compare` on `gen-fixture uniform --seed 3`: rows of 390-405 tokens hold
+# only 8-23 distinct attention values, so nearly every top-k in scoring,
+# selection and the oracle overlap is decided by the tie rule.
+UNIFORM_SEED_3_REPORT = """\
+policy,ratio,overlap,mass,entropy,bytes
+snapkv,0.3985148515,0.4608695652,0.8202159588,1.910169888,824320
+snapkv+sss,0.3985148515,0.5776397516,0.8666272897,2.09611573,824320
+audiokv-nosss,0.3985148515,0.4609641707,0.8202158262,1.910148081,824320
+audiokv,0.3985148515,0.5773294801,0.8666271571,2.096030435,824320
+snapkv,0.599009901,0.6161157025,0.8492030853,2.156950766,1239040
+snapkv+sss,0.599009901,0.6303719008,0.8956144162,2.28478534,1239040
+audiokv-nosss,0.599009901,0.6163498079,0.8492029526,2.15692248,1239040
+audiokv,0.599009901,0.6303712658,0.8956142835,2.284779347,1239040
+snapkv,0.7995049505,0.7815789474,0.8781902117,2.245972285,1653760
+snapkv+sss,0.7995049505,0.8544891641,0.9246015426,2.272504942,1653760
+audiokv-nosss,0.7995049505,0.7817450465,0.8781900791,2.245939395,1653760
+audiokv,0.7995049505,0.8544880661,0.92460141,2.272501196,1653760
+"""
+
+
+def test_tie_heavy_uniform_report_bytes_are_pinned(tmp_path):
+    assert compare_fixture(tmp_path, "uniform", 3) == UNIFORM_SEED_3_REPORT
+
+
+def test_nan_attention_exits_2(tmp_path, capsys):
+    fx = tmp_path / "fx"
+    assert main(["gen-fixture", "--profile", "spike-plateau", "--seed", "7", "--out", str(fx)]) == 0
+    trace = load_trace(fx / "trace.akvt")
+    steps = list(trace.steps)
+    attention = steps[5].attention.copy()
+    attention[0, 0, 3] = np.nan
+    steps[5] = dataclasses.replace(steps[5], attention=attention)
+    write_trace(dataclasses.replace(trace, steps=tuple(steps)), fx / "trace.akvt")
+    code = main(
+        [
+            "compare",
+            "--trace",
+            str(fx / "trace.akvt"),
+            "--alignment",
+            str(fx / "alignment.json"),
+            "--out",
+            str(tmp_path / "report.csv"),
+        ]
+    )
+    assert code == 2
+    assert "step 5 attention row sums" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from audiokv.errors import DimensionMismatchError
 from audiokv.fixtures import generate_fixture
@@ -19,6 +22,7 @@ from audiokv.trace import (
     WordStepMap,
     align_generated_to_words,
     filter_words,
+    word_to_audio_span,
 )
 
 from heads_oracle import step_hit_ratio, topk_indices
@@ -107,8 +111,6 @@ class TestScoreHeads:
         mapping = WordStepMap(entries=((0, frozenset({0, 1})), (1, frozenset({2, 3}))))
         matrix = score_heads(trace, words, mapping, TopKConfig(k=3))
 
-        from audiokv.trace import word_to_audio_span
-
         for layer in range(2):
             for head in range(3):
                 total = 0.0
@@ -132,6 +134,63 @@ class TestScoreHeads:
         scaled = trace_with_rows(scaled_rows, a0=0, n_audio=6)
         again = score_heads(scaled, words, mapping, TopKConfig(k=4))
         assert np.allclose(base.scores, again.scores)
+
+
+@st.composite
+def tie_heavy_scoring(draw):
+    """A trace whose rows take 1-4 distinct values, words, a step map and k."""
+    layers, heads = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    first = draw(st.integers(1, 12))
+    growth = draw(st.sets(st.integers(0, 8), min_size=1, max_size=4))
+    contexts = [first + grow for grow in sorted(growth)]
+    a0 = draw(st.integers(0, first - 1))
+    n_audio = draw(st.integers(1, first - a0))
+    levels = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
+    values = st.sampled_from(draw(st.lists(levels, min_size=1, max_size=4, unique=True)))
+    steps = []
+    for t, context in enumerate(contexts):
+        rows = draw(arrays(np.float32, (layers, heads, context), elements=values))
+        if draw(st.booleans()):  # an all-equal row
+            rows[draw(st.integers(0, layers - 1)), draw(st.integers(0, heads - 1))] = rows.flat[0]
+        steps.append(DecodingStep(step_index=t, generated_token_text="", attention=rows))
+    trace = AttentionTrace(
+        num_layers=layers,
+        num_heads=heads,
+        steps=tuple(steps),
+        audio_start=a0,
+        num_audio_tokens=n_audio,
+        total_duration_s=1.0,
+    )
+    # Times on a grid that includes 0 and the full duration, so spans touch
+    # the first and the last audio token.
+    times = st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0])
+    words = [WordAlignment("w", *sorted(draw(st.tuples(times, times))), 0.99) for _ in range(3)]
+    owners = st.sampled_from([None, 0, 1, 2])
+    owner = draw(st.lists(owners, min_size=len(steps), max_size=len(steps)))
+    entries = tuple(
+        (w, frozenset(t for t, o in enumerate(owner) if o == w))
+        for w in range(3)
+        if w in owner
+    )
+    k = draw(st.integers(1, contexts[-1] + 3))
+    return trace, words, WordStepMap(entries=entries), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_scoring())
+def test_score_heads_equals_per_row_oracle(case):
+    trace, words, mapping, k = case
+    matrix = score_heads(trace, words, mapping, TopKConfig(k=k))
+    totals = np.zeros((trace.num_layers, trace.num_heads))
+    for word_index, step_ids in mapping.entries:
+        span = word_to_audio_span(words[word_index], trace)
+        for t in sorted(step_ids):
+            for layer, head in np.ndindex(trace.num_layers, trace.num_heads):
+                row = trace.steps[t].attention[layer, head]
+                totals[layer, head] += step_hit_ratio(topk_indices(row, k), span, k)
+    samples = len(mapping.aligned_steps())
+    assert matrix.num_samples == samples
+    assert np.array_equal(matrix.scores, totals / samples if samples else totals)
 
 
 class TestMergeScores:

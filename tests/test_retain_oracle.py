@@ -1,21 +1,37 @@
 """The batched selection kernels agree exactly with their per-head oracles."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import retain_oracle as oracle
-from audiokv.budget import BudgetPlan
+from audiokv.budget import AllocationMode, BudgetPlan, allocate, resolve_base_tokens
 from audiokv.eviction import (
     EvictionResult,
     ObservationWindow,
     _pool,
+    build_observation_window,
     select_audiokv,
     select_h2o,
     select_snapkv,
+    topk_mask,
 )
-from audiokv.metrics import coverage_entropy, oracle_overlap
+from audiokv.heads import HeadScoreMatrix
+from audiokv.metrics import (
+    KvGeometry,
+    PolicySpec,
+    RetentionReport,
+    aggregate_future_attention,
+    coverage_entropy,
+    memory_footprint,
+    oracle_overlap,
+    reports_to_csv,
+    retained_mass,
+    run_comparison,
+)
 from audiokv.spectral import SssConfig, smooth_rows
 from audiokv.trace import AttentionTrace, DecodingStep
 
@@ -150,3 +166,79 @@ def test_pooling_is_bit_identical_to_np_convolve(data, width):
     kernel = np.full(width, 1.0 / width)
     expected = np.apply_along_axis(np.convolve, -1, scores, kernel, mode="same")
     assert np.array_equal(_pool(scores, width), expected)
+
+
+@PROPERTY
+@given(data=st.data(), scores=score_tensors(min_context=0))
+def test_topk_mask_matches_full_row_oracle(data, scores):
+    # Tied draws put more entries at the kth value than the row has room
+    # for, so only the first of them may be kept.
+    ks = st.integers(0, scores.shape[-1] + 3)
+    k = data.draw(arrays(np.int64, scores.shape[:-1], elements=ks))
+    expected = oracle.topk_mask(scores, k)
+    assert np.array_equal(topk_mask(scores, k), expected)
+    assert np.array_equal(topk_mask(scores, k, np.sort(scores, axis=-1)), expected)
+
+
+# Two SSS configs that appear several times in one grid, so the shared
+# smoothing and sort are reused, plus arbitrary ones.
+SHARED_SSS = (
+    SssConfig(cutoff_ratio=0.3, mix_alpha=0.5),
+    SssConfig(cutoff_ratio=0.7, mix_alpha=1.0),
+)
+
+
+@st.composite
+def comparison_grids(draw):
+    layers, heads = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    contexts = sorted(draw(st.sets(st.integers(2, 40), min_size=2, max_size=6)))
+    trace = trace_of([draw(score_tensors(shape=(layers, heads, c))) for c in contexts])
+    width = draw(st.integers(1, len(contexts) + 1))
+    obs_context = contexts[min(width, len(contexts) - 1) - 1]
+    recent = draw(st.integers(0, obs_context + 2))
+    head_scores = draw(score_tensors(shape=(layers, heads, 1)))[..., 0]
+    head_scores = HeadScoreMatrix(scores=head_scores, num_samples=1)
+    policies, plans = [], []
+    n = layers * heads
+    for i in range(draw(st.integers(1, 8))):
+        budget = n * draw(st.integers(2 * recent, 2 * recent + obs_context + 3))
+        if draw(st.booleans()):
+            plan = allocate(head_scores, budget, recent, 0, AllocationMode.UNIFORM)
+        else:
+            base = resolve_base_tokens(budget, n, 0.5)
+            plan = allocate(head_scores, budget, recent, base, AllocationMode.COMBINED)
+        sss = draw(st.one_of(st.none(), st.sampled_from(SHARED_SSS), sss_configs()))
+        policies.append(PolicySpec(name=f"p{i}", selector="audiokv", sss=sss))
+        plans.append(plan)
+    return trace, policies, plans, width, recent
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=comparison_grids())
+def test_run_comparison_matches_pairs_run_one_by_one(grid):
+    trace, policies, plans, width, recent = grid
+    geom = KvGeometry()
+    reports = run_comparison(trace, policies, plans, geom, observation_width=width, recent=recent)
+
+    obs_steps = min(width, trace.num_steps - 1)
+    horizon = trace.num_steps - obs_steps
+    window = build_observation_window(trace.prefix(obs_steps), obs_steps)
+    context = window.context_length
+    future = aggregate_future_attention(trace, obs_steps - 1, horizon, context)
+    expected = []
+    for policy, plan in zip(policies, plans):
+        result = select_audiokv(window, plan, policy.sss, recent)
+        result = dataclasses.replace(result, policy_name=policy.name)
+        layers, heads = result.shape
+        expected.append(
+            RetentionReport(
+                policy_name=policy.name,
+                retention_ratio=result.total_retained() / (layers * heads * context),
+                oracle_overlap=oracle_overlap(result, trace, horizon),
+                coverage_entropy=coverage_entropy(result),
+                mass_retained=retained_mass(result, future),
+                memory_bytes=memory_footprint(result, geom),
+            )
+        )
+    assert reports_to_csv(reports) == reports_to_csv(expected)
+    assert reports == expected

@@ -79,6 +79,14 @@ class TestTraceIo:
         with pytest.raises(IntegrityError):
             load_trace(path)
 
+    def test_nan_attention_raises_integrity_error(self, tmp_path):
+        path = tmp_path / "nan.akvt"
+        header = struct.pack("<4sIIIIIId", b"AKVT", 1, 1, 1, 1, 0, 2, 1.0)
+        row = np.array([1.0, np.nan], dtype="<f4")
+        path.write_bytes(header + struct.pack("<I", 2) + row.tobytes())
+        with pytest.raises(IntegrityError, match="row sums"):
+            load_trace(path)
+
     def test_bad_magic_raises_format_error(self, tmp_path):
         path = tmp_path / "bad.akvt"
         path.write_bytes(b"XXXX" + b"\x00" * 40)
