@@ -44,28 +44,31 @@ class ObservationWindow:
 
 @dataclass(frozen=True)
 class EvictionResult:
-    """Per-head sorted retained token indices."""
+    """The retained KV entries of every head.
+
+    `mask` ([layers, heads, context] bool, True at every retained entry) is
+    the stored form; `retained` is derived from it on each access.
+    """
 
     policy_name: str
-    retained: tuple[tuple[np.ndarray, ...], ...]  # [layer][head] sorted int64
-    context_length: int
+    mask: np.ndarray
     plan: BudgetPlan | None = None
 
     @property
+    def context_length(self) -> int:
+        return self.mask.shape[-1]
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return len(self.retained), len(self.retained[0])
+        return self.mask.shape[:2]
+
+    @property
+    def retained(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """[layer][head] sorted int64 retained indices."""
+        return tuple(tuple(np.flatnonzero(head) for head in layer) for layer in self.mask)
 
     def total_retained(self) -> int:
-        return sum(len(r) for layer in self.retained for r in layer)
-
-    def mask(self) -> np.ndarray:
-        """[layers, heads, context] bool, True at every retained entry."""
-        layers, heads = self.shape
-        per_head = [r for layer in self.retained for r in layer]
-        head_of = np.repeat(np.arange(layers * heads), [len(r) for r in per_head])
-        mask = np.zeros((layers * heads, self.context_length), dtype=bool)
-        mask[head_of, np.concatenate(per_head)] = True
-        return mask.reshape(layers, heads, self.context_length)
+        return int(self.mask.sum())
 
 
 def build_observation_window(trace: AttentionTrace, width: int) -> ObservationWindow:
@@ -116,10 +119,11 @@ def _retain(
     capacities: np.ndarray | int,
     recent: int,
     ranked: np.ndarray | None = None,
-) -> tuple:
-    """Per head: the recent positions plus the top-scored older positions, sorted.
+) -> np.ndarray:
+    """Per head: the recent positions plus the top-scored older positions.
 
     scores is [layers, heads, context]; capacities broadcasts to [layers, heads].
+    Returns the [layers, heads, context] retained mask.
     `ranked`, if given, is the value sort of the evictable prefix, as
     `rank_scores` returns it. Ties go to the lower index.
     """
@@ -134,9 +138,7 @@ def _retain(
     fill = np.minimum(capacities, context) - kept_recent
     mask = np.ones((layers, heads, context), dtype=bool)
     mask[..., :boundary] = topk_mask(scores[..., :boundary], fill, ranked)
-    index = np.nonzero(mask)[-1].astype(np.int64, copy=False)
-    per_head = np.split(index, np.cumsum(mask.sum(axis=-1).ravel())[:-1])
-    return tuple(tuple(per_head[layer * heads : (layer + 1) * heads]) for layer in range(layers))
+    return mask
 
 
 def _pool(scores: np.ndarray, width: int) -> np.ndarray:
@@ -208,14 +210,8 @@ def select_audiokv(
     if ranking is None:
         ranking = rank_scores(window, sss_cfg, recent)
     scores, ranked = ranking
-    retained = _retain(scores, plan.capacities, recent, ranked)
     name = "audiokv" if sss_cfg is not None else "audiokv-nosss"
-    return EvictionResult(
-        policy_name=name,
-        retained=retained,
-        context_length=window.context_length,
-        plan=plan,
-    )
+    return EvictionResult(name, _retain(scores, plan.capacities, recent, ranked), plan)
 
 
 def select_snapkv(
@@ -227,12 +223,8 @@ def select_snapkv(
     """Uniform capacity with centered moving-average pooling of the scores."""
     if pool_width < 1 or pool_width % 2 == 0:
         raise ValueError("pool_width must be odd and >= 1")
-    retained = _retain(_pool(window.aggregated, pool_width), capacity_per_head, recent)
-    return EvictionResult(
-        policy_name="snapkv",
-        retained=retained,
-        context_length=window.context_length,
-    )
+    scores = _pool(window.aggregated, pool_width)
+    return EvictionResult("snapkv", _retain(scores, capacity_per_head, recent))
 
 
 def select_h2o(
@@ -241,10 +233,8 @@ def select_h2o(
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
     """Heavy-hitter retention: attention mass accumulated over every step."""
-    retained = _retain(_summed_attention(trace, trace.num_steps), capacity_per_head, recent)
-    return EvictionResult(
-        policy_name="h2o", retained=retained, context_length=trace.final_context_length
-    )
+    scores = _summed_attention(trace, trace.num_steps)
+    return EvictionResult("h2o", _retain(scores, capacity_per_head, recent))
 
 
 def select_adakv(
@@ -255,7 +245,8 @@ def select_adakv(
     """Layer-pooled selection: heads compete for one shared layer budget.
 
     Each head keeps its recent window; the remaining layer budget goes to the
-    globally highest (score, head, index) triples, so per-head counts vary.
+    layer's highest-scored older entries, ties going to the lower (head,
+    index), so per-head counts vary.
     """
     layers, heads = window.shape
     context = window.context_length
@@ -265,24 +256,11 @@ def select_adakv(
         )
     kept_recent = min(recent, context)
     boundary = context - kept_recent
-    pool_budget = min(layer_budget - heads * kept_recent, heads * boundary)
-    recent_indices = np.arange(boundary, context, dtype=np.int64)
-    retained = []
-    for layer in range(layers):
-        older = window.aggregated[layer, :, :boundary]
-        flat_scores = older.reshape(-1)
-        head_of = np.repeat(np.arange(heads), boundary)
-        index_of = np.tile(np.arange(boundary), heads)
-        order = np.lexsort((index_of, head_of, -flat_scores))
-        chosen = order[:pool_budget]
-        row = []
-        for head in range(heads):
-            mine = index_of[chosen[head_of[chosen] == head]]
-            row.append(np.sort(np.concatenate([mine.astype(np.int64), recent_indices])))
-        retained.append(tuple(row))
-    return EvictionResult(
-        policy_name="adakv", retained=tuple(retained), context_length=context
-    )
+    pool = np.full(layers, layer_budget - heads * kept_recent)
+    older = window.aggregated[..., :boundary].reshape(layers, heads * boundary)
+    mask = np.ones((layers, heads, context), dtype=bool)
+    mask[..., :boundary] = topk_mask(older, pool).reshape(layers, heads, boundary)
+    return EvictionResult("adakv", mask)
 
 
 def save_result(result: EvictionResult, path: str | Path) -> None:
@@ -301,20 +279,31 @@ def save_result(result: EvictionResult, path: str | Path) -> None:
             [head.tolist() for head in layer] for layer in result.retained
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    Path(path).write_text(json.dumps(payload))
 
 
 def load_result(path: str | Path) -> EvictionResult:
-    """Read a result file back; the plan summary is not reconstructed."""
-    payload = json.loads(Path(path).read_text())
+    """Read a result file back; the plan summary is not reconstructed.
+
+    Every layer must list the same number of heads, and every head's indices
+    must be strictly increasing and lie in [0, context_length).
+    """
     try:
-        return EvictionResult(
-            policy_name=str(payload["policy"]),
-            retained=tuple(
-                tuple(np.asarray(head, dtype=np.int64) for head in layer)
-                for layer in payload["retained"]
-            ),
-            context_length=int(payload["context_length"]),
-        )
+        payload = json.loads(Path(path).read_text())
+        policy, context = str(payload["policy"]), int(payload["context_length"])
+        rows = [[np.asarray(kept) for kept in layer] for layer in payload["retained"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad result file: {exc!r}") from exc
+    per_head = [kept for layer in rows for kept in layer]
+    if not per_head or any(len(layer) != len(rows[0]) for layer in rows):
+        raise FormatError(f"{path}: every layer must list the same, nonzero number of heads")
+    if any(kept.ndim != 1 or (kept.size and kept.dtype.kind != "i") for kept in per_head):
+        raise FormatError(f"{path}: each head must list a flat array of integer indices")
+    index = np.concatenate(per_head).astype(np.int64)
+    head_of = np.repeat(np.arange(len(per_head)), [len(kept) for kept in per_head])
+    unsorted = np.diff(index)[head_of[1:] == head_of[:-1]] <= 0
+    if context < 0 or np.any(index < 0) or np.any(index >= context) or np.any(unsorted):
+        raise FormatError(f"{path}: head indices must increase strictly within [0, {context})")
+    mask = np.zeros((len(per_head), context), dtype=bool)
+    mask[head_of, index] = True
+    return EvictionResult(policy, mask.reshape(len(rows), len(rows[0]), context))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +112,7 @@ def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) 
 
 def _overlap(result: EvictionResult, future: np.ndarray, ranked: np.ndarray) -> float:
     """`oracle_overlap` against a held-out aggregate and its value sort."""
-    retained = result.mask()
+    retained = result.mask
     sizes = retained.sum(axis=-1)
     hits = (retained & topk_mask(future, sizes, ranked)).sum(axis=-1)
     overlaps = np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
@@ -125,17 +125,12 @@ def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
         raise DimensionMismatchError(
             f"result heads {result.shape} != window heads {window.shape}"
         )
-    layers, heads = result.shape
+    context = result.context_length
     shares = []
-    for layer in range(layers):
-        for head in range(heads):
-            row = window.aggregated[layer, head]
+    for layer_rows, layer_kept in zip(window.aggregated, result.mask):
+        for row, kept in zip(layer_rows, layer_kept):
             total = float(row.sum())
-            if total <= 0.0:
-                shares.append(1.0)
-                continue
-            kept = float(row[result.retained[layer][head]].sum())
-            shares.append(kept / total)
+            shares.append(float(row[:context][kept].sum()) / total if total > 0.0 else 1.0)
     return float(np.mean(shares))
 
 
@@ -147,7 +142,7 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
     context = result.context_length
     # np.histogram's bin for each position: edges[i] <= position < edges[i+1].
     bin_of = np.digitize(np.arange(context), np.linspace(0, context, bins + 1)[1:-1])
-    head, index = np.nonzero(result.mask().reshape(layers * heads, context))
+    head, index = np.nonzero(result.mask.reshape(layers * heads, context))
     counts = np.bincount(head * bins + bin_of[index], minlength=layers * heads * bins)
     entropies = []
     for row in counts.reshape(layers * heads, bins):
@@ -191,12 +186,7 @@ def _run_pair(
         result = select_adakv(window, int(plan.capacities.sum(axis=1)[0]), recent)
     else:
         raise ValueError(f"unknown selector: {policy.selector}")
-    result = EvictionResult(
-        policy_name=policy.name,
-        retained=result.retained,
-        context_length=result.context_length,
-        plan=result.plan,
-    )
+    result = replace(result, policy_name=policy.name)
     layers, heads = result.shape
     ratio = result.total_retained() / (layers * heads * result.context_length)
     return RetentionReport(

@@ -4,7 +4,8 @@ These are the loop-per-head and row-at-a-time versions the library once
 shipped: `retain_for_head` keeps one head's recent window plus its top-scored
 older positions, and `sss` smooths one signal with a searchsorted energy
 cutoff and a mask built slice by slice. The `select_*` helpers apply them head
-by head, and `oracle_overlap` / `coverage_entropy` score one head at a time
+by head, `select_adakv` lexsorts each layer's pooled (score, head, index)
+triples, and `oracle_overlap` / `coverage_entropy` score one head at a time
 with sets and `np.histogram`, so tests can require the batched code to match
 them exactly. `topk_mask` is the batched ranking sorting its own rows, so a
 precomputed sort passed to the real one can be checked against it.
@@ -133,6 +134,33 @@ def select_h2o(trace, capacity_per_head, recent):
         acc[:, :, : step.context_length] += step.attention
     capacities = np.full((trace.num_layers, trace.num_heads), capacity_per_head)
     return _per_head(acc, capacities, recent)
+
+
+def select_adakv(window, layer_budget, recent):
+    layers, heads = window.shape
+    context = window.context_length
+    if layer_budget < heads * recent:
+        raise CapacityBelowRecentError(
+            f"layer budget {layer_budget} < {heads} heads x recent {recent}"
+        )
+    kept_recent = min(recent, context)
+    boundary = context - kept_recent
+    pool_budget = min(layer_budget - heads * kept_recent, heads * boundary)
+    recent_indices = np.arange(boundary, context, dtype=np.int64)
+    retained = []
+    for layer in range(layers):
+        older = window.aggregated[layer, :, :boundary]
+        flat_scores = older.reshape(-1)
+        head_of = np.repeat(np.arange(heads), boundary)
+        index_of = np.tile(np.arange(boundary), heads)
+        order = np.lexsort((index_of, head_of, -flat_scores))
+        chosen = order[:pool_budget]
+        row = []
+        for head in range(heads):
+            mine = index_of[chosen[head_of[chosen] == head]]
+            row.append(np.sort(np.concatenate([mine.astype(np.int64), recent_indices])))
+        retained.append(tuple(row))
+    return tuple(retained)
 
 
 def oracle_overlap(retained, future):

@@ -49,8 +49,8 @@ def uniform_plan(layers, heads, capacity, window=32):
 
 
 def planted_subset(result: EvictionResult, planted) -> EvictionResult:
-    rows = tuple((result.retained[l][h],) for l, h in planted)
-    return EvictionResult(result.policy_name, rows, result.context_length)
+    layers, heads = np.array(planted).T
+    return EvictionResult(result.policy_name, result.mask[layers, heads][:, None])
 
 
 def scored_fixture(fixture, k=24, tau=0.95):

@@ -307,8 +307,29 @@ class TestResultIo:
             {"policy": "p", "context_length": "four", "retained": [[[0, 1]]]},
             {"policy": "p", "context_length": 4, "retained": 7},
             {"policy": "p", "context_length": 4, "retained": [[["a"]]]},
+            {"policy": "p", "context_length": 4, "retained": [[[-1, 2]]]},
+            {"policy": "p", "context_length": 4, "retained": [[[0, 4]]]},
+            {"policy": "p", "context_length": 4, "retained": [[[2, 1]]]},
+            {"policy": "p", "context_length": 4, "retained": [[[1, 1]]]},
+            {"policy": "p", "context_length": 4, "retained": [[[0], [1]], [[0]]]},
+            {"policy": "p", "context_length": 4, "retained": [[[[0, 1], [2, 3]]]]},
+            {"policy": "p", "context_length": 4, "retained": [[[0, 1.5]]]},
+            {"policy": "p", "context_length": 4, "retained": []},
         ],
-        ids=["missing-retained", "context-not-int", "retained-not-nested", "index-not-int"],
+        ids=[
+            "missing-retained",
+            "context-not-int",
+            "retained-not-nested",
+            "index-not-int",
+            "index-negative",
+            "index-at-context",
+            "indices-unsorted",
+            "indices-repeated",
+            "ragged-layers",
+            "head-not-flat",
+            "index-not-integral",
+            "no-layers",
+        ],
     )
     def test_malformed_file_raises_format_error(self, tmp_path, payload):
         from audiokv.eviction import load_result

@@ -20,10 +20,11 @@ from audiokv.trace import AttentionTrace, DecodingStep
 
 
 def result_of(retained, context, policy="test"):
-    rows = tuple(
-        tuple(np.asarray(head, dtype=np.int64) for head in layer) for layer in retained
-    )
-    return EvictionResult(policy_name=policy, retained=rows, context_length=context)
+    mask = np.zeros((len(retained), len(retained[0]), context), dtype=bool)
+    for layer, row in enumerate(retained):
+        for head, kept in enumerate(row):
+            mask[layer, head, np.asarray(kept, dtype=np.int64)] = True
+    return EvictionResult(policy_name=policy, mask=mask)
 
 
 def trace_from_rows(rows_per_step):

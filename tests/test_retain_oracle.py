@@ -14,6 +14,7 @@ from audiokv.eviction import (
     ObservationWindow,
     _pool,
     build_observation_window,
+    select_adakv,
     select_audiokv,
     select_h2o,
     select_snapkv,
@@ -108,6 +109,29 @@ def test_select_snapkv_matches_oracle(data, pool_width):
     assert_same_retained(result.retained, expected)
 
 
+@PROPERTY
+@given(data=st.data(), scores=score_tensors(), all_equal=st.booleans())
+def test_select_adakv_matches_oracle(data, scores, all_equal):
+    if all_equal:
+        scores[:] = 0.5
+    heads, context = scores.shape[1:]
+    # recent may reach past the context (nothing left to pool), and the pool
+    # may fall short of, fill or overflow the layer's evictable entries.
+    recent = data.draw(st.integers(0, context + 3))
+    evictable = heads * (context - min(recent, context))
+    pool = data.draw(
+        st.one_of(
+            st.integers(0, evictable),
+            st.just(evictable),
+            st.integers(evictable + 1, evictable + 2 * heads),
+        )
+    )
+    window = ObservationWindow(width=1, aggregated=scores)
+    layer_budget = heads * recent + pool
+    result = select_adakv(window, layer_budget, recent)
+    assert_same_retained(result.retained, oracle.select_adakv(window, layer_budget, recent))
+
+
 def trace_of(attention):
     layers, heads = attention[0].shape[:2]
     steps = tuple(DecodingStep(i, "", a.astype(np.float32)) for i, a in enumerate(attention))
@@ -151,7 +175,7 @@ def test_metrics_match_per_head_oracle(data, scores, bins):
     context = scores.shape[-1]
     kept = data.draw(arrays(bool, scores.shape))
     retained = tuple(tuple(np.flatnonzero(head).astype(np.int64) for head in row) for row in kept)
-    result = EvictionResult(policy_name="p", retained=retained, context_length=context)
+    result = EvictionResult(policy_name="p", mask=kept)
     assert coverage_entropy(result, bins) == oracle.coverage_entropy(retained, context, bins)
     future = data.draw(score_tensors(shape=scores.shape)).astype(np.float32)
     trace = trace_of([scores, future])
