@@ -7,6 +7,8 @@ to CSV.
 """
 
 from audiokv import (
+    COMPARE_GRID,
+    POLICIES,
     AllocationMode,
     KvGeometry,
     PolicySpec,
@@ -37,16 +39,14 @@ policies, plans = [], []
 for ratio in (0.4, 0.6, 0.8):
     budget = n * int(ratio * context)
     base = resolve_base_tokens(budget, n, 0.5)
-    uniform = allocate(scores, budget, 32, 0, AllocationMode.UNIFORM)
-    combined = allocate(scores, budget, 32, base, AllocationMode.COMBINED)
-    for name, plan, sss_cfg in (
-        ("snapkv", uniform, None),
-        ("snapkv+sss", uniform, smoothing),
-        ("audiokv-nosss", combined, None),
-        ("audiokv", combined, smoothing),
-    ):
-        policies.append(PolicySpec(name=name, sss=sss_cfg))
-        plans.append(plan)
+    plan_of = {
+        mode: allocate(scores, budget, 32, base if mode is AllocationMode.COMBINED else 0, mode)
+        for mode in {POLICIES[name].mode for name in COMPARE_GRID}
+    }
+    for name in COMPARE_GRID:
+        policy = POLICIES[name]
+        policies.append(PolicySpec(name, policy.selector, smoothing if policy.smooth else None))
+        plans.append(plan_of[policy.mode])
 
 reports = run_comparison(
     trace, policies, plans, KvGeometry(), observation_width=observation, recent=32

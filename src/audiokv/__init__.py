@@ -23,11 +23,13 @@ from .errors import (
     LengthMismatchError,
 )
 from .eviction import (
+    POLICIES,
     EvictionResult,
     ObservationWindow,
     build_observation_window,
     load_result,
     save_result,
+    select,
     select_adakv,
     select_audiokv,
     select_h2o,
@@ -38,11 +40,11 @@ from .heads import (
     HeadScoreMatrix,
     TopKConfig,
     load_scores,
-    merge_scores,
     save_scores,
     score_heads,
 )
 from .metrics import (
+    COMPARE_GRID,
     KvGeometry,
     PolicySpec,
     RetentionReport,

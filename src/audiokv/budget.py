@@ -85,7 +85,8 @@ def allocate(
     combined:           cap = window + base + floor(score_budget * S / sum(S))
                         with score_budget = budget - heads * (window + base).
     proportional_floor: cap = max(window, floor(budget * S / sum(S))).
-    uniform / pyramid:  score-agnostic splits with the same window floor.
+    uniform / pyramid:  score-agnostic splits of the budget; a head's share
+                        below the window raises BudgetTooSmallError.
 
     Rounding leftovers go one each to heads in descending score order, so the
     score-splittable total is conserved exactly. A zero score sum falls back
@@ -119,8 +120,9 @@ def allocate(
     elif mode is AllocationMode.UNIFORM:
         capacities = np.full((layers, heads), budget // n, dtype=np.int64)
         _distribute_leftover(capacities, budget - n * (budget // n), np.zeros_like(s))
-        capacities = np.maximum(capacities, window)
     elif mode is AllocationMode.PYRAMID:
+        if budget < layers:
+            raise BudgetTooSmallError(f"pyramid budget {budget} < one slot per layer ({layers})")
         layer_totals = pyramid_schedule(layers, budget // layers, pyramid_decay)
         capacities = np.empty((layers, heads), dtype=np.int64)
         for layer, layer_total in enumerate(layer_totals):
@@ -128,9 +130,12 @@ def allocate(
             row = np.full(heads, per_head, dtype=np.int64)
             row[: layer_total - per_head * heads] += 1
             capacities[layer] = row
-        capacities = np.maximum(capacities, window)
     else:
         raise ValueError(f"unknown allocation mode: {mode}")
+    if capacities.min() < window:
+        raise BudgetTooSmallError(
+            f"{mode.value} budget {budget} leaves a head {capacities.min()} < window {window}"
+        )
 
     return BudgetPlan(
         capacities=capacities,

@@ -8,7 +8,6 @@ Flag values override config-file values, which override the defaults below.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -18,23 +17,17 @@ import numpy as np
 
 from .budget import (
     AllocationMode,
+    BudgetPlan,
     allocate,
     load_plan,
     resolve_base_tokens,
     save_plan,
 )
 from .errors import AudioKvError
-from .eviction import (
-    build_observation_window,
-    save_result,
-    select_adakv,
-    select_audiokv,
-    select_h2o,
-    select_snapkv,
-)
+from .eviction import POLICIES, build_observation_window, save_result, select
 from .fixtures import PROFILES, generate_fixture
-from .heads import TopKConfig, load_scores, save_scores, score_heads
-from .metrics import KvGeometry, PolicySpec, run_comparison, write_reports
+from .heads import HeadScoreMatrix, TopKConfig, load_scores, save_scores, score_heads
+from .metrics import COMPARE_GRID, KvGeometry, PolicySpec, run_comparison, write_reports
 from .spectral import SssConfig, smooth_rows
 from .trace import (
     align_generated_to_words,
@@ -143,6 +136,13 @@ def cmd_smooth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _plan(scores: HeadScoreMatrix, budget: int, mode: AllocationMode, cfg: RunConfig) -> BudgetPlan:
+    """Allocate `budget` in `mode`; only `combined` spends a uniform base."""
+    combined = mode is AllocationMode.COMBINED
+    base = resolve_base_tokens(budget, scores.scores.size, cfg.base_fraction) if combined else 0
+    return allocate(scores, budget, cfg.window, base, mode)
+
+
 def cmd_allocate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     scores = load_scores(args.scores)
@@ -155,12 +155,11 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     else:
         raise AudioKvError("provide --budget, or --ratio with --context-length")
     mode = AllocationMode(args.mode.replace("-", "_"))
-    base = resolve_base_tokens(budget, n, cfg.base_fraction) if mode is AllocationMode.COMBINED else 0
-    plan = allocate(scores, budget, cfg.window, base, mode)
+    plan = _plan(scores, budget, mode, cfg)
     save_plan(plan, cfg.output_path)
     print(
         f"{mode.value}: budget {budget} over {n} heads "
-        f"(window {cfg.window}, base {base}); capacities "
+        f"(window {cfg.window}, base {plan.base}); capacities "
         f"{int(plan.capacities.min())}..{int(plan.capacities.max())}"
     )
     return 0
@@ -168,38 +167,28 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    policy = POLICIES[args.policy]
     trace = load_trace(cfg.trace_path)
     obs_steps = min(cfg.window, trace.num_steps)
     obs_trace = trace.prefix(obs_steps)
     window = build_observation_window(obs_trace, obs_steps)
     context = window.context_length
     n = trace.num_layers * trace.num_heads
-    capacity = int(args.ratio * context)
 
-    if args.policy in ("audiokv", "audiokv-nosss"):
-        if args.plan:
-            plan = load_plan(args.plan)
-        else:
+    if args.plan:
+        plan = load_plan(args.plan)
+    elif args.scores or policy.mode is not AllocationMode.COMBINED:
+        if args.scores:
             scores = load_scores(args.scores)
-            budget = capacity * n
-            base = resolve_base_tokens(budget, n, cfg.base_fraction)
-            plan = allocate(scores, budget, cfg.window, base, AllocationMode.COMBINED)
-        sss_cfg = cfg.sss() if args.policy == "audiokv" else None
-        result = select_audiokv(window, plan, sss_cfg, recent=cfg.window)
-    elif args.policy == "snapkv":
-        result = select_snapkv(window, capacity, args.pool_width, recent=cfg.window)
-    elif args.policy == "h2o":
-        result = select_h2o(obs_trace, capacity, recent=cfg.window)
-    elif args.policy == "adakv":
-        result = select_adakv(window, capacity * trace.num_heads, recent=cfg.window)
-    elif args.policy == "pyramid":
-        scores = load_scores(args.scores)
-        plan = allocate(scores, capacity * n, cfg.window, 0, AllocationMode.PYRAMID)
-        result = select_audiokv(window, plan, None, recent=cfg.window)
+        else:  # uniform and pyramid plans read only the number of heads
+            scores = HeadScoreMatrix(np.zeros(window.shape), num_samples=0)
+        plan = _plan(scores, int(args.ratio * context) * n, policy.mode, cfg)
     else:
-        raise AudioKvError(f"unknown policy {args.policy}")
-
-    result = dataclasses.replace(result, policy_name=args.policy)
+        raise AudioKvError(f"policy {args.policy} needs head scores: pass --scores or --plan")
+    sss_cfg = cfg.sss() if policy.smooth else None
+    result = select(
+        args.policy, policy.selector, window, obs_trace, plan, sss_cfg, cfg.window, args.pool_width
+    )
     save_result(result, cfg.output_path)
     kept = result.total_retained()
     print(
@@ -221,20 +210,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     n = trace.num_layers * trace.num_heads
 
     policies, plans = [], []
-    sss_cfg = cfg.sss()
     for ratio in cfg.retention_ratios:
         budget = n * int(ratio * context)
-        base = resolve_base_tokens(budget, n, cfg.base_fraction)
-        uniform = allocate(scores, budget, cfg.window, 0, AllocationMode.UNIFORM)
-        combined = allocate(scores, budget, cfg.window, base, AllocationMode.COMBINED)
-        for name, plan, smoother in (
-            ("snapkv", uniform, None),
-            ("snapkv+sss", uniform, sss_cfg),
-            ("audiokv-nosss", combined, None),
-            ("audiokv", combined, sss_cfg),
-        ):
-            policies.append(PolicySpec(name=name, selector="audiokv", sss=smoother))
-            plans.append(plan)
+        modes = {POLICIES[name].mode for name in COMPARE_GRID}
+        plan_of = {mode: _plan(scores, budget, mode, cfg) for mode in modes}
+        for name in COMPARE_GRID:
+            policy = POLICIES[name]
+            policies.append(PolicySpec(name, policy.selector, cfg.sss() if policy.smooth else None))
+            plans.append(plan_of[policy.mode])
 
     reports = run_comparison(
         trace,
@@ -306,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy",
         required=True,
-        choices=["audiokv", "audiokv-nosss", "snapkv", "h2o", "adakv", "pyramid"],
+        choices=list(POLICIES),
     )
     p.add_argument("--ratio", type=float, default=0.4)
     p.add_argument("--scores", default=None)

@@ -11,13 +11,14 @@ over the whole trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .budget import BudgetPlan
+from .budget import AllocationMode, BudgetPlan
 from .errors import CapacityBelowRecentError, DimensionMismatchError, FormatError
 from .spectral import SssConfig, smooth_rows
 from .trace import AttentionTrace
@@ -216,7 +217,7 @@ def select_audiokv(
 
 def select_snapkv(
     window: ObservationWindow,
-    capacity_per_head: int,
+    capacity_per_head: np.ndarray | int,
     pool_width: int = DEFAULT_POOL_WIDTH,
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
@@ -229,7 +230,7 @@ def select_snapkv(
 
 def select_h2o(
     trace: AttentionTrace,
-    capacity_per_head: int,
+    capacity_per_head: np.ndarray | int,
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
     """Heavy-hitter retention: attention mass accumulated over every step."""
@@ -239,28 +240,81 @@ def select_h2o(
 
 def select_adakv(
     window: ObservationWindow,
-    layer_budget: int,
+    layer_budget: np.ndarray | int,
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
     """Layer-pooled selection: heads compete for one shared layer budget.
 
-    Each head keeps its recent window; the remaining layer budget goes to the
-    layer's highest-scored older entries, ties going to the lower (head,
-    index), so per-head counts vary.
+    `layer_budget` is one budget for every layer or one per layer. Each head
+    keeps its recent window; the remaining layer budget goes to the layer's
+    highest-scored older entries, ties going to the lower (head, index), so
+    per-head counts vary.
     """
     layers, heads = window.shape
     context = window.context_length
-    if layer_budget < heads * recent:
+    layer_budget = np.broadcast_to(layer_budget, (layers,))
+    if np.any(layer_budget < heads * recent):
         raise CapacityBelowRecentError(
-            f"layer budget {layer_budget} < {heads} heads x recent {recent}"
+            f"layer budget {layer_budget.min()} < {heads} heads x recent {recent}"
         )
     kept_recent = min(recent, context)
     boundary = context - kept_recent
-    pool = np.full(layers, layer_budget - heads * kept_recent)
+    pool = layer_budget - heads * kept_recent
     older = window.aggregated[..., :boundary].reshape(layers, heads * boundary)
     mask = np.ones((layers, heads, context), dtype=bool)
     mask[..., :boundary] = topk_mask(older, pool).reshape(layers, heads, boundary)
     return EvictionResult("adakv", mask)
+
+
+class Policy(NamedTuple):
+    """A named policy's plan mode, `select` selector, and whether it smooths."""
+
+    mode: AllocationMode
+    selector: str
+    smooth: bool
+
+
+POLICIES = {
+    "audiokv": Policy(AllocationMode.COMBINED, "audiokv", True),
+    "audiokv-nosss": Policy(AllocationMode.COMBINED, "audiokv", False),
+    "snapkv": Policy(AllocationMode.UNIFORM, "snapkv", False),
+    "snapkv+sss": Policy(AllocationMode.UNIFORM, "audiokv", True),
+    "h2o": Policy(AllocationMode.UNIFORM, "h2o", False),
+    "adakv": Policy(AllocationMode.UNIFORM, "adakv", False),
+    "pyramid": Policy(AllocationMode.PYRAMID, "audiokv", False),
+}
+
+
+def select(
+    name: str,
+    selector: str,
+    window: ObservationWindow,
+    trace: AttentionTrace,
+    plan: BudgetPlan,
+    sss_cfg: SssConfig | None,
+    recent: int,
+    pool_width: int,
+    ranking: tuple[np.ndarray, np.ndarray] | None = None,
+) -> EvictionResult:
+    """Run `selector` under `plan`, naming the result `name`.
+
+    audiokv (smoothing with `sss_cfg` if given, `ranking` as in
+    `select_audiokv`), snapkv (pooling over `pool_width`) and h2o (scoring
+    every step of `trace`) keep the plan's per-head capacities; adakv pools
+    each layer's total.
+    """
+    _check_dims(window, plan)
+    if selector == "audiokv":
+        result = select_audiokv(window, plan, sss_cfg, recent, ranking)
+    elif selector == "snapkv":
+        result = select_snapkv(window, plan.capacities, pool_width, recent)
+    elif selector == "h2o":
+        result = select_h2o(trace, plan.capacities, recent)
+    elif selector == "adakv":
+        result = select_adakv(window, plan.capacities.sum(axis=1), recent)
+    else:
+        raise ValueError(f"unknown selector: {selector}")
+    return replace(result, policy_name=name)
 
 
 def save_result(result: EvictionResult, path: str | Path) -> None:

@@ -81,17 +81,6 @@ def score_heads(
     return HeadScoreMatrix(scores=scores, num_samples=num_samples)
 
 
-def merge_scores(a: HeadScoreMatrix, b: HeadScoreMatrix) -> HeadScoreMatrix:
-    """Sample-count-weighted mean of two score matrices."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot merge shapes {a.shape} and {b.shape}")
-    total = a.num_samples + b.num_samples
-    if total == 0:
-        return HeadScoreMatrix(scores=np.zeros(a.shape), num_samples=0)
-    merged = (a.scores * a.num_samples + b.scores * b.num_samples) / total
-    return HeadScoreMatrix(scores=merged, num_samples=total)
-
-
 def save_scores(matrix: HeadScoreMatrix, path: str | Path) -> None:
     payload = {
         "num_layers": int(matrix.shape[0]),

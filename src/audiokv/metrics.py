@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +27,16 @@ from .eviction import (
     ObservationWindow,
     build_observation_window,
     rank_scores,
-    select_adakv,
-    select_audiokv,
-    select_h2o,
-    select_snapkv,
+    select,
     topk_mask,
 )
 from .spectral import SssConfig
 from .trace import AttentionTrace
 
 DEFAULT_ENTROPY_BINS = 10
+
+# The POLICIES names `compare` reports per ratio: uniform vs head-aware plan, SSS off vs on.
+COMPARE_GRID = ("snapkv", "snapkv+sss", "audiokv-nosss", "audiokv")
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,12 @@ class RetentionReport:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """One comparison-grid entry; `selector` picks the eviction routine.
-
-    audiokv uses the paired plan's per-head capacities (smoothing scores when
-    `sss` is set); snapkv/h2o read a uniform capacity off the plan;
-    adakv pools each layer's plan total.
-    """
+    """One comparison row: its report name, the `eviction.select` selector it
+    runs under its paired plan, and its SSS config (None: no smoothing)."""
 
     name: str
     selector: str = "audiokv"
     sss: SssConfig | None = None
-    pool_width: int = 1
 
 
 def find_eviction_step(trace: AttentionTrace, context_length: int) -> int:
@@ -157,48 +152,6 @@ def memory_footprint(result: EvictionResult, geom: KvGeometry) -> int:
     return result.total_retained() * per_entry
 
 
-def _uniform_capacity(plan: BudgetPlan) -> int:
-    caps = np.unique(plan.capacities)
-    if len(caps) != 1:
-        raise ValueError("this selector requires a uniform plan")
-    return int(caps[0])
-
-
-def _run_pair(
-    policy: PolicySpec,
-    plan: BudgetPlan,
-    window: ObservationWindow,
-    rankings: dict,
-    obs_trace: AttentionTrace,
-    future: ObservationWindow,
-    future_ranked: np.ndarray,
-    geom: KvGeometry,
-    recent: int,
-    bins: int,
-) -> RetentionReport:
-    if policy.selector == "audiokv":
-        result = select_audiokv(window, plan, policy.sss, recent, rankings[policy.sss])
-    elif policy.selector == "snapkv":
-        result = select_snapkv(window, _uniform_capacity(plan), policy.pool_width, recent)
-    elif policy.selector == "h2o":
-        result = select_h2o(obs_trace, _uniform_capacity(plan), recent)
-    elif policy.selector == "adakv":
-        result = select_adakv(window, int(plan.capacities.sum(axis=1)[0]), recent)
-    else:
-        raise ValueError(f"unknown selector: {policy.selector}")
-    result = replace(result, policy_name=policy.name)
-    layers, heads = result.shape
-    ratio = result.total_retained() / (layers * heads * result.context_length)
-    return RetentionReport(
-        policy_name=policy.name,
-        retention_ratio=ratio,
-        oracle_overlap=_overlap(result, future.aggregated, future_ranked),
-        coverage_entropy=coverage_entropy(result, bins),
-        mass_retained=retained_mass(result, future),
-        memory_bytes=memory_footprint(result, geom),
-    )
-
-
 def run_comparison(
     trace: AttentionTrace,
     policies: list[PolicySpec],
@@ -238,12 +191,25 @@ def run_comparison(
         sss: rank_scores(window, sss, recent)
         for sss in dict.fromkeys(p.sss for p in policies if p.selector == "audiokv")
     }
-    return [
-        _run_pair(
-            policy, plan, window, rankings, obs_trace, future, future_ranked, geom, recent, bins
+    reports = []
+    for policy, plan in zip(policies, plans):
+        # Rows differ only in plan, selector and SSS: every row ranks the
+        # unpooled window scores, so snapkv pools over width 1 (a no-op).
+        result = select(
+            policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent, 1,
+            rankings.get(policy.sss),
         )
-        for policy, plan in zip(policies, plans)
-    ]
+        reports.append(
+            RetentionReport(
+                policy_name=policy.name,
+                retention_ratio=float(result.mask.mean()),
+                oracle_overlap=_overlap(result, future.aggregated, future_ranked),
+                coverage_entropy=coverage_entropy(result, bins),
+                mass_retained=retained_mass(result, future),
+                memory_bytes=memory_footprint(result, geom),
+            )
+        )
+    return reports
 
 
 REPORT_COLUMNS = ("policy", "ratio", "overlap", "mass", "entropy", "bytes")

@@ -56,6 +56,17 @@ class TestAllocate:
         # floors [5, 3, 2] leave 1 unit -> highest score gets it
         assert plan.capacities.tolist() == [[6, 3, 2]]
 
+    @pytest.mark.parametrize("mode", [AllocationMode.UNIFORM, AllocationMode.PYRAMID])
+    def test_score_agnostic_share_below_window_raises(self, mode):
+        # 100 slots over 4 heads is 25 each, below the window of 32: raising
+        # each head to the window would hand out 128 slots.
+        with pytest.raises(BudgetTooSmallError):
+            allocate(scores_of([[1.0, 1.0, 1.0, 1.0]]), 100, 32, 0, mode)
+
+    def test_pyramid_budget_below_one_slot_per_layer_raises(self):
+        with pytest.raises(BudgetTooSmallError):
+            allocate(scores_of([[1.0], [1.0], [1.0]]), 2, 0, 0, AllocationMode.PYRAMID)
+
     def test_pyramid_mode_splits_heads_uniformly(self):
         plan = allocate(scores_of([[1.0, 1.0], [1.0, 1.0]]), 40, 0, 0, AllocationMode.PYRAMID)
         assert plan.capacities.sum() == 40

@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from audiokv.budget import AllocationMode
 from audiokv.cli import main
+from audiokv.eviction import POLICIES
 from audiokv.heads import load_scores
 from audiokv.trace import load_trace, write_trace
 
@@ -186,28 +189,97 @@ class TestAllocateCmd:
         assert "scores.json" in capsys.readouterr().err
 
 
-class TestSimulateCmd:
-    @pytest.mark.parametrize("policy", ["snapkv", "h2o", "adakv", "audiokv", "pyramid"])
-    def test_policies_run(self, fixture_dir, tmp_path, policy):
-        _, scores_path = run_score(fixture_dir, tmp_path)
-        out = tmp_path / f"{policy}.json"
-        args = [
+def simulate(fixture_dir, out, policy, *extra):
+    return main(
+        [
             "simulate",
             "--trace",
             str(fixture_dir / "trace.akvt"),
             "--policy",
             policy,
-            "--ratio",
-            "0.5",
-            "--scores",
-            str(scores_path),
             "--out",
             str(out),
+            *extra,
         ]
-        assert main(args) == 0
+    )
+
+
+# `simulate --ratio 0.5` on `gen-fixture spike-plateau --seed 7`, heads scored
+# by `score-heads` with its defaults, as the per-policy branches of `simulate`
+# wrote them before the policy table replaced them.
+SEED_7_SIMULATE_SHA256 = {
+    "adakv": "16c04c6847b0a2ebc18ba20d2826797af016be23fe29d353e45634be56469117",
+    "audiokv": "ca129da3b8af7d592c17cbc796a479294dde58bb866671fef0f76560c16d16ed",
+    "audiokv-nosss": "936a6cad1ff80195e049476500ce43ff78c83b8cedbd28a90179f1c1df4eef65",
+    "h2o": "f0b95c87ce5b5cf26bc019808efab099aa66e8191c9b965e74992151a4560005",
+    "pyramid": "9156c87dbc313dcfa2badee300ca1a18bf24f5990703dc2794c909df9afcc538",
+    "snapkv": "5e8f11bc0232abb17c648757248abf5a500b3d0f5a3ba10cc60422a2c6387f9c",
+}
+
+
+class TestSimulateCmd:
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_policies_run(self, fixture_dir, tmp_path, policy):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        out = tmp_path / f"{policy}.json"
+        code = simulate(fixture_dir, out, policy, "--ratio", "0.5", "--scores", str(scores_path))
+        assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["policy"] in (policy, "audiokv")
+        assert payload["policy"] == policy
         assert len(payload["retained"]) == 2
+
+    def test_seed_7_result_bytes_are_pinned(self, tmp_path):
+        fx = tmp_path / "fx"
+        assert main(["gen-fixture", "--profile", "spike-plateau", "--seed", "7", "--out", str(fx)]) == 0
+        _, scores_path = run_score(fx, tmp_path)
+        digests = {}
+        for policy in SEED_7_SIMULATE_SHA256:
+            out = tmp_path / f"{policy}.json"
+            assert simulate(fx, out, policy, "--ratio", "0.5", "--scores", str(scores_path)) == 0
+            digests[policy] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == SEED_7_SIMULATE_SHA256
+
+    @pytest.mark.parametrize("policy", ["audiokv", "audiokv-nosss"])
+    def test_combined_plan_needs_scores_or_plan(self, fixture_dir, tmp_path, capsys, policy):
+        assert simulate(fixture_dir, tmp_path / "r.json", policy) == 2
+        err = capsys.readouterr().err
+        assert "--scores" in err and "--plan" in err
+
+    def test_score_agnostic_plans_need_no_scores(self, fixture_dir, tmp_path):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        names = [name for name, p in POLICIES.items() if p.mode is not AllocationMode.COMBINED]
+        assert names == ["snapkv", "snapkv+sss", "h2o", "adakv", "pyramid"]
+        for policy in names:
+            with_scores, without = tmp_path / f"{policy}-s.json", tmp_path / f"{policy}.json"
+            assert simulate(fixture_dir, with_scores, policy, "--scores", str(scores_path)) == 0
+            assert simulate(fixture_dir, without, policy) == 0, policy
+            assert without.read_bytes() == with_scores.read_bytes(), policy
+
+    @pytest.mark.parametrize("policy", ["snapkv", "h2o", "adakv"])
+    def test_plan_applies_to_every_policy(self, fixture_dir, tmp_path, policy):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        plan_path = tmp_path / "plan.json"
+        assert main(
+            ["allocate", "--scores", str(scores_path), "--budget", "1600", "--out", str(plan_path)]
+        ) == 0
+        capacities = np.asarray(json.loads(plan_path.read_text())["capacities"])
+        out = tmp_path / "r.json"
+        assert simulate(fixture_dir, out, policy, "--plan", str(plan_path)) == 0
+        retained = json.loads(out.read_text())["retained"]
+        kept = np.array([[len(head) for head in layer] for layer in retained])
+        if policy == "adakv":
+            assert kept.sum(axis=1).tolist() == capacities.sum(axis=1).tolist()
+        else:
+            assert kept.tolist() == capacities.tolist()
+
+    @pytest.mark.parametrize("ratio", ["0.05", "0.001"])
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_budget_below_window_exits_2(self, fixture_dir, tmp_path, capsys, policy, ratio):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        out = tmp_path / "r.json"
+        code = simulate(fixture_dir, out, policy, "--ratio", ratio, "--scores", str(scores_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "payload",

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from audiokv.budget import BudgetPlan
-from audiokv.errors import CapacityBelowRecentError, FormatError
+from audiokv.errors import CapacityBelowRecentError, DimensionMismatchError, FormatError
 from audiokv.eviction import (
+    POLICIES,
     ObservationWindow,
     build_observation_window,
+    select,
     select_adakv,
     select_audiokv,
     select_h2o,
@@ -213,6 +215,48 @@ class TestSelectAdakv:
         window = ObservationWindow(width=1, aggregated=np.stack([base, base])[None])
         with pytest.raises(CapacityBelowRecentError):
             select_adakv(window, layer_budget=3, recent=2)
+
+
+    def test_one_budget_per_layer_equals_each_layer_alone(self):
+        rng = np.random.default_rng(8)
+        window = ObservationWindow(width=1, aggregated=rng.random((3, 2, 9)))
+        budgets = np.array([6, 11, 18])
+        result = select_adakv(window, budgets, recent=2)
+        for layer, budget in enumerate(budgets):
+            alone = ObservationWindow(width=1, aggregated=window.aggregated[layer : layer + 1])
+            assert np.array_equal(result.mask[layer], select_adakv(alone, int(budget), 2).mask[0])
+
+
+class TestSelect:
+    def setup_method(self):
+        fixture = generate_fixture("spike-plateau", 0)
+        self.trace = fixture.trace.prefix(32)
+        self.window = build_observation_window(self.trace, 32)
+        layers, heads = self.window.shape
+        capacities = 40 + 10 * np.arange(layers * heads).reshape(layers, heads)
+        self.plan = BudgetPlan(capacities, 32, 0, int(capacities.sum()), "combined")
+
+    def run(self, name, plan=None):
+        policy = POLICIES[name]
+        sss_cfg = SssConfig() if policy.smooth else None
+        plan = self.plan if plan is None else plan
+        return select(name, policy.selector, self.window, self.trace, plan, sss_cfg, 32, 7)
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_result_is_named_and_spends_the_plan(self, name):
+        result = self.run(name)
+        assert result.policy_name == name
+        kept = result.mask.sum(axis=-1)
+        if POLICIES[name].selector == "adakv":
+            assert np.array_equal(kept.sum(axis=1), self.plan.capacities.sum(axis=1))
+        else:
+            assert np.array_equal(kept, self.plan.capacities)
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_plan_of_other_shape_raises(self, name):
+        plan = uniform_plan(1, 1, 64, window=32)
+        with pytest.raises(DimensionMismatchError):
+            self.run(name, plan)
 
 
 class TestPolicyLaws:

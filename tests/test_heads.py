@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from audiokv.errors import DimensionMismatchError
 from audiokv.fixtures import generate_fixture
 from audiokv.heads import (
     HeadScoreMatrix,
     TopKConfig,
     load_scores,
-    merge_scores,
     save_scores,
     score_heads,
 )
@@ -191,45 +189,6 @@ def test_score_heads_equals_per_row_oracle(case):
     samples = len(mapping.aligned_steps())
     assert matrix.num_samples == samples
     assert np.array_equal(matrix.scores, totals / samples if samples else totals)
-
-
-class TestMergeScores:
-    def test_zero_sample_matrix_is_identity(self):
-        a = HeadScoreMatrix(scores=np.array([[0.4, 0.6]]), num_samples=5)
-        zero = HeadScoreMatrix(scores=np.zeros((1, 2)), num_samples=0)
-        merged = merge_scores(a, zero)
-        assert np.array_equal(merged.scores, a.scores)
-        assert merged.num_samples == 5
-
-    def test_weighted_mean(self):
-        a = HeadScoreMatrix(scores=np.array([[0.2]]), num_samples=1)
-        b = HeadScoreMatrix(scores=np.array([[0.8]]), num_samples=3)
-        merged = merge_scores(a, b)
-        assert merged.scores[0, 0] == pytest.approx(0.65)
-        assert merged.num_samples == 4
-
-    def test_commutative_exactly(self):
-        rng = np.random.default_rng(5)
-        a = HeadScoreMatrix(scores=rng.random((3, 4)), num_samples=7)
-        b = HeadScoreMatrix(scores=rng.random((3, 4)), num_samples=11)
-        ab, ba = merge_scores(a, b), merge_scores(b, a)
-        assert np.array_equal(ab.scores, ba.scores)
-
-    def test_associative_within_tolerance(self):
-        rng = np.random.default_rng(6)
-        mats = [
-            HeadScoreMatrix(scores=rng.random((2, 2)), num_samples=int(rng.integers(1, 20)))
-            for _ in range(3)
-        ]
-        left = merge_scores(merge_scores(mats[0], mats[1]), mats[2])
-        right = merge_scores(mats[0], merge_scores(mats[1], mats[2]))
-        assert np.max(np.abs(left.scores - right.scores)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        a = HeadScoreMatrix(scores=np.zeros((1, 2)), num_samples=1)
-        b = HeadScoreMatrix(scores=np.zeros((2, 2)), num_samples=1)
-        with pytest.raises(DimensionMismatchError):
-            merge_scores(a, b)
 
 
 class TestScoreIo:
