@@ -8,7 +8,7 @@ grip on the top-k selection.
 
 import numpy as np
 
-from audiokv import SssConfig, build_mask, energy_cutoff, irfft, rfft, sss
+from audiokv import SssConfig, build_mask, energy_cutoff, smooth_rows
 
 rng = np.random.default_rng(0)
 
@@ -19,21 +19,20 @@ signal[12:16] = 0.42  # narrow transient cluster
 
 print("signal: plateau on [40, 90), spike cluster on [12, 16)")
 
-spectrum = rfft(signal)
-print(f"spectrum: {spectrum.num_bins} bins for length {length}")
+bins = np.fft.rfft(signal)
+print(f"spectrum: {bins.size} bins for length {length}")
 
-cutoff = energy_cutoff(spectrum, cutoff_ratio=0.7)
-energy = np.abs(spectrum.bins) ** 2
+cutoff = energy_cutoff(bins, cutoff_ratio=0.7)
+energy = np.abs(bins) ** 2
 kept = energy[: cutoff + 1].sum() / energy.sum()
 print(f"energy cutoff at bin {cutoff} ({kept:.1%} of spectral energy kept)")
 
-mask = build_mask(cutoff, spectrum.num_bins, transition_bins=3)
-filtered = type(spectrum)(bins=spectrum.bins * mask.weights, original_length=length)
-lowpass = irfft(filtered, length)
+mask = build_mask(cutoff, bins.size, transition_bins=3)
+lowpass = np.fft.irfft(bins * mask, n=length)
 print(f"low-pass reconstruction: spike site now {lowpass[13]:.3f} vs plateau {lowpass[60]:.3f}")
 
 for alpha in (0.0, 0.5, 1.0):
-    smoothed = sss(signal, SssConfig(cutoff_ratio=0.7, mix_alpha=alpha))
+    smoothed = smooth_rows(signal, SssConfig(cutoff_ratio=0.7, mix_alpha=alpha))
     top10 = np.argsort(-smoothed)[:10]
     in_spike = int(np.sum((top10 >= 12) & (top10 < 16)))
     in_plateau = int(np.sum((top10 >= 40) & (top10 < 90)))
@@ -42,4 +41,4 @@ for alpha in (0.0, 0.5, 1.0):
         f"{in_plateau} plateau indices"
     )
 
-print("mean preserved:", np.isclose(sss(signal, SssConfig()).mean(), signal.mean()))
+print("mean preserved:", np.isclose(smooth_rows(signal, SssConfig()).mean(), signal.mean()))

@@ -1,7 +1,7 @@
 """From head scores to per-head cache capacities.
 
-Shows the two score-driven allocation formulas side by side, the uniform and
-pyramid baselines, and the bookkeeping laws (conservation, window floor).
+Shows the score-driven `combined` allocation next to the uniform and pyramid
+baselines, and the bookkeeping laws (conservation, window floor).
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ from audiokv import (
     AllocationMode,
     HeadScoreMatrix,
     allocate,
-    effective_retention_ratio,
     pyramid_schedule,
     resolve_base_tokens,
 )
@@ -33,7 +32,6 @@ plan = allocate(scores, budget, window, base, AllocationMode.COMBINED)
 print("\ncombined-mode laws:")
 print("  conserved:", plan.total == budget)
 print("  window floor:", bool(np.all(plan.capacities >= window)))
-print(f"  effective retention ratio: {effective_retention_ratio(plan, context):.3f}")
 
 print("\npyramid schedule, 6 layers x 100 tokens, decay 0.7:")
 print(" ", pyramid_schedule(6, 100, 0.7))

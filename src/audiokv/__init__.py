@@ -5,7 +5,6 @@ from .budget import (
     AllocationMode,
     BudgetPlan,
     allocate,
-    effective_retention_ratio,
     load_plan,
     pyramid_schedule,
     resolve_base_tokens,
@@ -20,7 +19,6 @@ from .errors import (
     FormatError,
     HorizonError,
     IntegrityError,
-    LengthMismatchError,
 )
 from .eviction import (
     POLICIES,
@@ -56,15 +54,10 @@ from .metrics import (
     write_reports,
 )
 from .spectral import (
-    SpectralMask,
-    Spectrum,
     SssConfig,
     build_mask,
     energy_cutoff,
-    irfft,
-    rfft,
     smooth_rows,
-    sss,
 )
 from .trace import (
     AttentionTrace,

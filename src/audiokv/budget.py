@@ -1,9 +1,8 @@
 """Head-wise KV cache budget allocation.
 
-Two score-driven formulas are supported: `combined` adds a fixed local window
-and uniform base to a score-proportional share of the remaining budget;
-`proportional_floor` splits the whole budget by score with a window floor.
-`uniform` and `pyramid` are score-agnostic baselines.
+The score-driven `combined` formula adds a fixed local window and uniform
+base to a score-proportional share of the remaining budget. `uniform` and
+`pyramid` are score-agnostic baselines.
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ import numpy as np
 from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError
 from .heads import HeadScoreMatrix
 
-DEFAULT_WINDOW = 32
-DEFAULT_BASE_FRACTION = 0.5
 DEFAULT_PYRAMID_DECAY = 0.8
 
 
 class AllocationMode(Enum):
     COMBINED = "combined"
-    PROPORTIONAL_FLOOR = "proportional_floor"
     UNIFORM = "uniform"
     PYRAMID = "pyramid"
 
@@ -68,8 +64,8 @@ def _distribute_leftover(capacities: np.ndarray, leftover: int, scores: np.ndarr
         return
     order = _ranked_heads(scores)
     flat = capacities.reshape(-1)
-    for i in range(leftover):
-        flat[order[i % len(order)]] += 1
+    flat += leftover // len(order)
+    flat[order[: leftover % len(order)]] += 1
 
 
 def allocate(
@@ -78,19 +74,16 @@ def allocate(
     window: int,
     base: int,
     mode: AllocationMode,
-    pyramid_decay: float = DEFAULT_PYRAMID_DECAY,
 ) -> BudgetPlan:
     """Turn head scores into integer per-head capacities.
 
-    combined:           cap = window + base + floor(score_budget * S / sum(S))
-                        with score_budget = budget - heads * (window + base).
-    proportional_floor: cap = max(window, floor(budget * S / sum(S))).
-    uniform / pyramid:  score-agnostic splits of the budget; a head's share
-                        below the window raises BudgetTooSmallError.
+    combined:          cap = window + base + floor(score_budget * S / sum(S))
+                       with score_budget = budget - heads * (window + base).
+    uniform / pyramid: score-agnostic splits of the budget; a head's share
+                       below the window raises BudgetTooSmallError.
 
-    Rounding leftovers go one each to heads in descending score order, so the
-    score-splittable total is conserved exactly. A zero score sum falls back
-    to a uniform split.
+    Every mode spends exactly `budget`: rounding leftovers go one each to heads
+    in descending score order. A zero score sum falls back to a uniform split.
     """
     if window < 0 or base < 0:
         raise ValueError("window and base must be non-negative")
@@ -113,23 +106,18 @@ def allocate(
         shares = np.floor(score_budget * s / total_score).astype(np.int64)
         capacities = floor_per_head + shares
         _distribute_leftover(capacities, score_budget - int(shares.sum()), s)
-    elif mode is AllocationMode.PROPORTIONAL_FLOOR:
-        shares = np.floor(budget * s / total_score).astype(np.int64)
-        _distribute_leftover(shares, budget - int(shares.sum()), s)
-        capacities = np.maximum(shares, window)
     elif mode is AllocationMode.UNIFORM:
         capacities = np.full((layers, heads), budget // n, dtype=np.int64)
         _distribute_leftover(capacities, budget - n * (budget // n), np.zeros_like(s))
     elif mode is AllocationMode.PYRAMID:
         if budget < layers:
             raise BudgetTooSmallError(f"pyramid budget {budget} < one slot per layer ({layers})")
-        layer_totals = pyramid_schedule(layers, budget // layers, pyramid_decay)
-        capacities = np.empty((layers, heads), dtype=np.int64)
-        for layer, layer_total in enumerate(layer_totals):
-            per_head = layer_total // heads
-            row = np.full(heads, per_head, dtype=np.int64)
-            row[: layer_total - per_head * heads] += 1
-            capacities[layer] = row
+        layer_totals = np.array(
+            pyramid_schedule(layers, budget // layers, DEFAULT_PYRAMID_DECAY), dtype=np.int64
+        )[:, None]
+        layer_totals[: budget % layers] += 1  # an uneven budget's rest goes to the widest layers
+        per_head = layer_totals // heads
+        capacities = per_head + (np.arange(heads) < layer_totals - per_head * heads)
     else:
         raise ValueError(f"unknown allocation mode: {mode}")
     if capacities.min() < window:
@@ -164,18 +152,8 @@ def pyramid_schedule(num_layers: int, per_layer_budget: int, decay: float) -> li
     remainders = raw - floors
     leftover = total - int(floors.sum())
     order = np.argsort(-remainders, kind="stable")
-    for i in range(leftover):
-        floors[order[i]] += 1
+    floors[order[:leftover]] += 1
     return [int(v) for v in floors]
-
-
-def effective_retention_ratio(plan: BudgetPlan, context_length: int) -> float:
-    """Fraction of a full cache of `context_length` entries the plan retains."""
-    if context_length < 1:
-        raise ValueError("context_length must be >= 1")
-    layers, heads = plan.shape
-    kept = np.minimum(plan.capacities, context_length).sum()
-    return float(kept) / (layers * heads * context_length)
 
 
 def save_plan(plan: BudgetPlan, path: str | Path) -> None:

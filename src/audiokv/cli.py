@@ -51,7 +51,6 @@ class RunConfig:
     cutoff_ratio: float = 0.7
     mix_alpha: float = 0.5
     retention_ratios: tuple[float, ...] = (0.4, 0.6, 0.8)
-    seed: int = 0
 
     def sss(self) -> SssConfig:
         return SssConfig(cutoff_ratio=self.cutoff_ratio, mix_alpha=self.mix_alpha)
@@ -76,9 +75,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
+def _ratio(raw: str) -> float:
+    """Retention ratio flag value: a fraction of the cache in (0, 1]."""
+    ratio = float(raw)
+    if not 0.0 < ratio <= 1.0:
+        raise argparse.ArgumentTypeError(f"ratio must be in (0, 1], got {raw}")
+    return ratio
+
+
 def _parse_ratios(raw: str) -> tuple[float, ...]:
-    ratios = tuple(float(r) for r in raw.split(",") if r.strip())
-    if not ratios or not all(0.0 < r <= 1.0 for r in ratios):
+    ratios = tuple(_ratio(r) for r in raw.split(",") if r.strip())
+    if not ratios:
         raise argparse.ArgumentTypeError("ratios must be a comma list of values in (0, 1]")
     return ratios
 
@@ -154,7 +161,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         budget = n * int(args.ratio * args.context_length)
     else:
         raise AudioKvError("provide --budget, or --ratio with --context-length")
-    mode = AllocationMode(args.mode.replace("-", "_"))
+    mode = AllocationMode(args.mode)
     plan = _plan(scores, budget, mode, cfg)
     save_plan(plan, cfg.output_path)
     print(
@@ -248,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--base-fraction", dest="base_fraction", type=float, default=None)
         p.add_argument("--cutoff-ratio", dest="cutoff_ratio", type=float, default=None)
         p.add_argument("--mix-alpha", dest="mix_alpha", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
         if trace:
             p.add_argument("--trace", dest="trace_path", required=True)
         if alignment:
@@ -275,13 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="turn head scores into a budget plan")
     p.add_argument("--scores", required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=None)
+    p.add_argument("--ratio", type=_ratio, default=None)
     p.add_argument("--context-length", dest="context_length", type=int, default=None)
-    p.add_argument(
-        "--mode",
-        default="combined",
-        choices=["combined", "proportional-floor", "uniform", "pyramid"],
-    )
+    p.add_argument("--mode", default="combined", choices=[m.value for m in AllocationMode])
     add_common(p, output=True)
     p.set_defaults(func=cmd_allocate)
 
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(POLICIES),
     )
-    p.add_argument("--ratio", type=float, default=0.4)
+    p.add_argument("--ratio", type=_ratio, default=0.4)
     p.add_argument("--scores", default=None)
     p.add_argument("--plan", default=None)
     p.add_argument("--pool-width", dest="pool_width", type=int, default=7)

@@ -17,10 +17,6 @@ class DegenerateSpanError(AudioKvError):
     """Time-to-token mapping is undefined (zero duration or no audio tokens)."""
 
 
-class LengthMismatchError(AudioKvError):
-    """Inverse transform length does not match the spectrum's origin."""
-
-
 class DimensionMismatchError(AudioKvError):
     """Operands have incompatible layer/head dimensions."""
 

@@ -14,26 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Half spectra of real signals along the last axis: floor(L/2)+1 complex bins."""
-
-    bins: np.ndarray
-    original_length: int
-
-    @property
-    def num_bins(self) -> int:
-        return self.bins.shape[-1]
-
-
-@dataclass(frozen=True)
-class SpectralMask:
-    weights: np.ndarray  # [..., num_bins]
-    cutoff_index: int | np.ndarray
-
 
 @dataclass(frozen=True)
 class SssConfig:
@@ -56,43 +36,21 @@ class SssConfig:
             raise ValueError("transition_bins must be >= 0")
 
 
-def rfft(signal: np.ndarray) -> Spectrum:
-    """Forward real-input DFT along the last axis: bins[k] = sum_n x[n] exp(-2*pi*i*k*n/L)."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise ValueError("signal must have a non-empty last axis")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal values must be finite")
-    return Spectrum(bins=np.fft.rfft(x), original_length=x.shape[-1])
-
-
-def irfft(spectrum: Spectrum, n: int) -> np.ndarray:
-    """Inverse of rfft via Hermitian extension, scaled by 1/L."""
-    if n != spectrum.original_length:
-        raise LengthMismatchError(
-            f"requested length {n} != spectrum origin {spectrum.original_length}"
-        )
-    if spectrum.num_bins != n // 2 + 1:
-        raise LengthMismatchError(
-            f"spectrum has {spectrum.num_bins} bins, expected {n // 2 + 1} for length {n}"
-        )
-    return np.fft.irfft(spectrum.bins, n=n)
-
-
-def energy_cutoff(spectrum: Spectrum, cutoff_ratio: float) -> int | np.ndarray:
+def energy_cutoff(bins: np.ndarray, cutoff_ratio: float) -> int | np.ndarray:
     """Smallest bin index k whose cumulative |bin|^2 energy reaches the ratio.
 
-    Returns num_bins-1 (keep everything) for a zero-energy spectrum, and for
-    cutoff_ratio >= 1 so trailing zero-energy bins never shrink the full mask.
-    A 1-D spectrum gives an int; stacked spectra give one index per signal.
+    `bins` holds half spectra along the last axis. Returns num_bins-1 (keep
+    everything) for a zero-energy spectrum, and for cutoff_ratio >= 1 so
+    trailing zero-energy bins never shrink the full mask. A 1-D spectrum
+    gives an int; stacked spectra give one index per signal.
     """
     if not 0.0 < cutoff_ratio <= 1.0:
         raise ValueError(f"cutoff_ratio must be in (0, 1], got {cutoff_ratio}")
-    cum = np.cumsum(np.abs(spectrum.bins) ** 2, axis=-1)
+    cum = np.cumsum(np.abs(bins) ** 2, axis=-1)
     total = cum[..., -1]
     reached = np.argmax(cum >= (total * cutoff_ratio)[..., None], axis=-1)
     keep_all = (total <= 0.0) | (cutoff_ratio >= 1.0)
-    cutoff = np.where(keep_all, spectrum.num_bins - 1, reached)
+    cutoff = np.where(keep_all, cum.shape[-1] - 1, reached)
     return int(cutoff) if cutoff.ndim == 0 else cutoff
 
 
@@ -101,47 +59,40 @@ def default_transition_bins(num_bins: int) -> int:
     return max(2, math.ceil(0.05 * num_bins))
 
 
-def build_mask(
-    cutoff_index: int | np.ndarray, length: int, transition_bins: int
-) -> SpectralMask:
-    """Low-pass mask: ones through cutoff_index, cosine roll-off, zeros beyond.
+def build_mask(cutoff_index: int | np.ndarray, num_bins: int, transition_bins: int) -> np.ndarray:
+    """Low-pass weights: ones through cutoff_index, cosine roll-off, zeros beyond.
 
     An array of cutoffs gives one mask row per cutoff.
     """
     cutoff = np.asarray(cutoff_index)
-    if np.any((cutoff < 0) | (cutoff >= length)):
-        raise ValueError(f"cutoff_index {cutoff_index} out of range for {length} bins")
+    if np.any((cutoff < 0) | (cutoff >= num_bins)):
+        raise ValueError(f"cutoff_index {cutoff_index} out of range for {num_bins} bins")
     # profile[d] weighs the bin d bins past the cutoff; d is clipped to [0, T+1].
     profile = np.zeros(transition_bins + 2, dtype=np.float64)
     profile[0] = 1.0
     offsets = np.arange(1, transition_bins + 1)
     profile[1:-1] = 0.5 * (1.0 + np.cos(np.pi * offsets / transition_bins))
-    distance = np.arange(length) - cutoff[..., None]
-    weights = profile[np.clip(distance, 0, transition_bins + 1)]
-    return SpectralMask(weights=weights, cutoff_index=cutoff_index)
-
-
-def sss(signal: np.ndarray, config: SssConfig) -> np.ndarray:
-    """Smooth one importance signal: (1-alpha)*x + alpha*irfft(rfft(x)*mask)."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("signal must be a non-empty 1-D array")
-    return smooth_rows(x, config)
+    distance = np.arange(num_bins) - cutoff[..., None]
+    return profile[np.clip(distance, 0, transition_bins + 1)]
 
 
 def smooth_rows(signals: np.ndarray, config: SssConfig) -> np.ndarray:
-    """Apply sss along the last axis of an N-D array, all signals at once."""
+    """Smooth every signal along the last axis at once:
+    (1-alpha)*x + alpha*irfft(rfft(x)*mask)."""
     x = np.asarray(signals, dtype=np.float64)
     if config.mix_alpha == 0.0:
         return x.copy()
-    spectrum = rfft(x)
-    cutoff = energy_cutoff(spectrum, config.cutoff_ratio)
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError("signals must have a non-empty last axis")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal values must be finite")
+    bins = np.fft.rfft(x)
+    num_bins = bins.shape[-1]
     transition = (
-        default_transition_bins(spectrum.num_bins)
+        default_transition_bins(num_bins)
         if config.transition_bins is None
         else config.transition_bins
     )
-    mask = build_mask(cutoff, spectrum.num_bins, transition)
-    filtered = Spectrum(bins=spectrum.bins * mask.weights, original_length=x.shape[-1])
-    smoothed = irfft(filtered, x.shape[-1])
+    mask = build_mask(energy_cutoff(bins, config.cutoff_ratio), num_bins, transition)
+    smoothed = np.fft.irfft(bins * mask, n=x.shape[-1])
     return (1.0 - config.mix_alpha) * x + config.mix_alpha * smoothed

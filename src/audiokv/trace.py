@@ -51,13 +51,6 @@ class AudioSpan:
     start_index: int
     end_index: int
 
-    def __contains__(self, index: int) -> bool:
-        return self.start_index <= index <= self.end_index
-
-    @property
-    def length(self) -> int:
-        return self.end_index - self.start_index + 1
-
 
 @dataclass(frozen=True)
 class DecodingStep:
@@ -112,9 +105,6 @@ class WordStepMap:
     """Word index -> decoding steps that generated it (disjoint across words)."""
 
     entries: tuple[tuple[int, frozenset[int]], ...]
-
-    def as_dict(self) -> dict[int, frozenset[int]]:
-        return dict(self.entries)
 
     def aligned_steps(self) -> list[int]:
         """All mapped step indices, sorted."""
@@ -261,23 +251,31 @@ def _load_sidecar(path: Path, num_steps: int) -> list[str]:
 
 
 def load_alignment(path: str | Path) -> list[WordAlignment]:
-    """Read a WhisperX-style JSON array of {word, start, end, score} objects."""
+    """Read a WhisperX-style JSON array of {word, start, end, score} objects.
+
+    Times must be finite, non-negative and ordered (start <= end).
+    """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, list):
         raise FormatError(f"{path}: expected a JSON array")
     words = []
     for i, item in enumerate(raw):
         try:
-            words.append(
-                WordAlignment(
-                    text=str(item["word"]),
-                    t_start=float(item["start"]),
-                    t_end=float(item["end"]),
-                    confidence=float(item["score"]),
-                )
+            word = WordAlignment(
+                text=str(item["word"]),
+                t_start=float(item["start"]),
+                t_end=float(item["end"]),
+                confidence=float(item["score"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad alignment record {i}: {exc}") from exc
+        # NaN fails every comparison, so the chain rejects it too.
+        if not 0.0 <= word.t_start <= word.t_end < math.inf:
+            raise FormatError(
+                f"{path}: alignment record {i} needs finite times with "
+                f"0 <= start <= end, got start {word.t_start}, end {word.t_end}"
+            )
+        words.append(word)
     return words
 
 

@@ -28,7 +28,7 @@ from audiokv.metrics import (
     retained_mass,
     aggregate_future_attention,
 )
-from audiokv.spectral import Spectrum, SssConfig, energy_cutoff, irfft, rfft, sss
+from audiokv.spectral import SssConfig, energy_cutoff, smooth_rows
 from audiokv.trace import align_generated_to_words, filter_words
 
 from dft_oracle import direct_irfft, direct_rfft
@@ -60,19 +60,19 @@ def scored_fixture(fixture, k=24, tau=0.95):
 
 
 def test_01_dft_oracle_equivalence():
+    # np.fft.rfft / np.fft.irfft are the transforms `smooth_rows` calls.
     start = time.monotonic()
     rng = np.random.default_rng(101)
     for _ in range(500):
         length = int(rng.integers(1, 65))
         x = rng.normal(size=length)
-        spec = rfft(x)
         oracle_bins = direct_rfft(x)
-        assert np.max(np.abs(spec.bins - oracle_bins)) < 1e-9
-        back = irfft(Spectrum(bins=oracle_bins, original_length=length), length)
+        assert np.max(np.abs(np.fft.rfft(x) - oracle_bins)) < 1e-9
+        back = np.fft.irfft(oracle_bins, n=length)
         assert np.max(np.abs(back - direct_irfft(oracle_bins, length))) < 1e-9
     for length in range(1, 257):
         x = rng.normal(size=length)
-        assert np.max(np.abs(irfft(rfft(x), length) - x)) < 1e-9
+        assert np.max(np.abs(np.fft.irfft(np.fft.rfft(x), n=length) - x)) < 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     report(1, f"rfft/irfft match the O(L^2) oracle and roundtrip within 1e-9 ({elapsed:.1f}s)")
@@ -82,22 +82,21 @@ def test_02_sss_identity_limits():
     rng = np.random.default_rng(102)
     for _ in range(100):
         x = rng.normal(size=int(rng.integers(1, 200)))
-        no_mix = sss(x, SssConfig(cutoff_ratio=0.3, mix_alpha=0.0))
+        no_mix = smooth_rows(x, SssConfig(cutoff_ratio=0.3, mix_alpha=0.0))
         assert np.max(np.abs(no_mix - x)) < 1e-9
-        all_pass = sss(x, SssConfig(cutoff_ratio=1.0, mix_alpha=1.0, transition_bins=0))
+        all_pass = smooth_rows(x, SssConfig(cutoff_ratio=1.0, mix_alpha=1.0, transition_bins=0))
         assert np.max(np.abs(all_pass - x)) < 1e-9
     report(2, "alpha=0 and (ratio=1, transition=0) reproduce inputs within 1e-9")
 
 
 def test_03_energy_cutoff():
     bins = np.sqrt(np.array([4.0, 3.0, 2.0, 1.0])).astype(complex)
-    spec = Spectrum(bins=bins, original_length=6)
-    cutoff = energy_cutoff(spec, 0.7)
+    cutoff = energy_cutoff(bins, 0.7)
     assert cutoff == 1  # keep bins 0..1, i.e. exactly 2 bins
     rng = np.random.default_rng(103)
     for _ in range(200):
-        spec = rfft(rng.normal(size=int(rng.integers(2, 80))))
-        cuts = [energy_cutoff(spec, float(r)) for r in np.linspace(0.01, 1.0, 25)]
+        bins = np.fft.rfft(rng.normal(size=int(rng.integers(2, 80))))
+        cuts = [energy_cutoff(bins, float(r)) for r in np.linspace(0.01, 1.0, 25)]
         assert all(a <= b for a, b in zip(cuts, cuts[1:]))
     report(3, "energy cutoff monotone in ratio; [4,3,2,1] at 0.7 keeps exactly 2 bins")
 
@@ -140,19 +139,16 @@ def test_05_head_scoring_recovery():
 
 def test_06_allocation_laws():
     rng = np.random.default_rng(106)
-    modes = (AllocationMode.COMBINED, AllocationMode.PROPORTIONAL_FLOOR)
-    for trial in range(1000):
+    mode = AllocationMode.COMBINED
+    for _ in range(1000):
         layers = int(rng.integers(1, 4))
         heads = int(rng.integers(1, 9))
         n = layers * heads
         window = int(rng.integers(0, 4))
         budget = int(rng.integers(max(2 * n * window, n), 50 * n + 2 * n * window + n))
         matrix = HeadScoreMatrix(scores=rng.random((layers, heads)), num_samples=1)
-        mode = modes[trial % 2]
         plan = allocate(matrix, budget, window, 0, mode)
-        # conservation: exact when the window floor cannot bind
-        if window == 0:
-            assert plan.total == budget
+        assert plan.total == budget
         assert np.all(plan.capacities >= window)
         flat_s = matrix.scores.reshape(-1)
         flat_c = plan.capacities.reshape(-1)

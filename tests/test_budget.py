@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiokv.budget import (
     AllocationMode,
-    BudgetPlan,
     allocate,
-    effective_retention_ratio,
     load_plan,
     pyramid_schedule,
     resolve_base_tokens,
@@ -25,9 +25,7 @@ class TestAllocate:
         assert plan.capacities.tolist() == [[20, 30, 50]]
 
     def test_uniform_under_equal_scores_proportional_floor(self):
-        plan = allocate(
-            scores_of([[1.0, 1.0, 1.0, 1.0]]), 120, 0, 0, AllocationMode.PROPORTIONAL_FLOOR
-        )
+        plan = allocate(scores_of([[1.0, 1.0, 1.0, 1.0]]), 120, 0, 0, AllocationMode.COMBINED)
         assert plan.capacities.tolist() == [[30, 30, 30, 30]]
 
     def test_combined_includes_window_and_base(self):
@@ -44,15 +42,8 @@ class TestAllocate:
         with pytest.raises(BudgetTooSmallError):
             allocate(scores_of([[1.0, 1.0]]), 10, 8, 0, AllocationMode.COMBINED)
 
-    def test_proportional_floor_applies_window(self):
-        plan = allocate(
-            scores_of([[0.0, 1.0]]), 100, 12, 0, AllocationMode.PROPORTIONAL_FLOOR
-        )
-        assert plan.capacities[0, 0] == 12  # floored up to the window
-        assert plan.capacities[0, 1] == 100
-
     def test_leftover_goes_to_highest_scores(self):
-        plan = allocate(scores_of([[0.5, 0.3, 0.2]]), 11, 0, 0, AllocationMode.PROPORTIONAL_FLOOR)
+        plan = allocate(scores_of([[0.5, 0.3, 0.2]]), 11, 0, 0, AllocationMode.COMBINED)
         # floors [5, 3, 2] leave 1 unit -> highest score gets it
         assert plan.capacities.tolist() == [[6, 3, 2]]
 
@@ -75,7 +66,7 @@ class TestAllocate:
 
 
 class TestAllocationLaws:
-    MODES = (AllocationMode.COMBINED, AllocationMode.PROPORTIONAL_FLOOR)
+    MODES = (AllocationMode.COMBINED,)
 
     def test_budget_conservation(self):
         rng = np.random.default_rng(1)
@@ -86,8 +77,6 @@ class TestAllocationLaws:
             matrix = scores_of(rng.random((layers, heads)))
             combined = allocate(matrix, budget, 0, 0, AllocationMode.COMBINED)
             assert combined.total == budget
-            floor = allocate(matrix, budget, 0, 0, AllocationMode.PROPORTIONAL_FLOOR)
-            assert floor.total == budget
 
     def test_score_monotonicity(self):
         rng = np.random.default_rng(2)
@@ -127,6 +116,61 @@ class TestAllocationLaws:
                 assert np.all(plan.capacities >= window)
 
 
+def looped_capacities(scores, budget, window, base, mode):
+    """`allocate`'s arithmetic one head at a time: the reference for its array ops."""
+    layers, heads = scores.shape
+    n = layers * heads
+    if mode is AllocationMode.PYRAMID:
+        totals = pyramid_schedule(layers, budget // layers, 0.8)
+        for layer in range(budget % layers):
+            totals[layer] += 1
+        caps = []
+        for total in totals:
+            caps += [total // heads + (h < total % heads) for h in range(heads)]
+        return np.array(caps).reshape(layers, heads)
+    s = np.maximum(scores.reshape(-1), 0.0)
+    if s.sum() <= 0.0:
+        s = np.ones(n)
+    if mode is AllocationMode.COMBINED:
+        spend = budget - n * (window + base)
+        caps = [window + base + int(np.floor(spend * v / float(s.sum()))) for v in s]
+        order = np.argsort(-s, kind="stable")
+    else:
+        caps, order = [budget // n] * n, range(n)
+    for i in range(budget - sum(caps)):
+        caps[order[i % n]] += 1
+    return np.array(caps).reshape(layers, heads)
+
+
+@st.composite
+def allocation_cases(draw):
+    layers, heads = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=layers * heads, max_size=layers * heads))
+    mode = draw(st.sampled_from(list(AllocationMode)))
+    window = draw(st.integers(0, 32))
+    base = draw(st.integers(0, 16)) if mode is AllocationMode.COMBINED else 0
+    budget = draw(st.integers(0, 80 * layers * heads))
+    return scores_of(np.reshape(values, (layers, heads))), budget, window, base, mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(allocation_cases())
+def test_allocate_spends_the_budget_above_the_window(case):
+    matrix, budget, window, base, mode = case
+    try:
+        plan = allocate(matrix, budget, window, base, mode)
+    except BudgetTooSmallError:
+        return
+    assert plan.total == budget
+    assert plan.capacities.min() >= window
+    assert np.array_equal(
+        plan.capacities, looped_capacities(matrix.scores, budget, window, base, mode)
+    )
+    if mode is AllocationMode.COMBINED:
+        s, c = matrix.scores.reshape(-1), plan.capacities.reshape(-1)
+        assert np.all(c[:, None] >= c[None, :], where=s[:, None] > s[None, :])
+
+
 class TestPyramidSchedule:
     def test_no_decay_is_uniform(self):
         assert pyramid_schedule(4, 10, 1.0) == [10, 10, 10, 10]
@@ -146,24 +190,6 @@ class TestPyramidSchedule:
             totals = pyramid_schedule(layers, per_layer, decay)
             assert sum(totals) == layers * per_layer
             assert all(a >= b for a, b in zip(totals, totals[1:]))
-
-
-class TestEffectiveRetentionRatio:
-    def test_full_cache(self):
-        plan = BudgetPlan(np.full((2, 2), 50, dtype=np.int64), 0, 0, 200, "uniform")
-        assert effective_retention_ratio(plan, 50) == 1.0
-
-    def test_single_head_definition(self):
-        plan = BudgetPlan(np.array([[40]], dtype=np.int64), 0, 0, 40, "uniform")
-        assert effective_retention_ratio(plan, 100) == pytest.approx(0.4)
-
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(6)
-        caps = rng.integers(0, 120, size=(3, 4))
-        plan = BudgetPlan(caps.astype(np.int64), 0, 0, int(caps.sum()), "uniform")
-        context = 80
-        expected = sum(min(int(c), context) for c in caps.reshape(-1)) / (12 * context)
-        assert effective_retention_ratio(plan, context) == pytest.approx(expected)
 
 
 class TestPlanIo:

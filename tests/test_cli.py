@@ -93,6 +93,32 @@ class TestScoreHeads:
         top = set(np.argsort(-flat)[: len(planted)].tolist())
         assert top == {l * matrix.shape[1] + h for l, h in planted}
 
+    @pytest.mark.parametrize(
+        "start,end",
+        [(float("nan"), 1.0), (0.5, float("inf")), (-1.0, 1.0), (2.0, 1.0)],
+        ids=["nan", "inf", "negative", "start-after-end"],
+    )
+    def test_bad_alignment_times_exit_2(self, fixture_dir, tmp_path, capsys, start, end):
+        words = json.loads((fixture_dir / "alignment.json").read_text())
+        words[3].update(start=start, end=end)
+        alignment = tmp_path / "alignment.json"
+        alignment.write_text(json.dumps(words))
+        scores_path = tmp_path / "scores.json"
+        code = main(
+            [
+                "score-heads",
+                "--trace",
+                str(fixture_dir / "trace.akvt"),
+                "--alignment",
+                str(alignment),
+                "--out",
+                str(scores_path),
+            ]
+        )
+        assert code == 2
+        assert "alignment record 3" in capsys.readouterr().err
+        assert not scores_path.exists()
+
 
 class TestSmooth:
     def test_alpha_zero_reproduces_input(self, tmp_path):
@@ -114,7 +140,7 @@ class TestSmooth:
         assert np.max(np.abs(out - 1.25)) < 1e-9
 
     def test_spike_plateau_column_matches_library_pipeline(self, tmp_path):
-        from audiokv.spectral import SssConfig, sss
+        from audiokv.spectral import SssConfig, smooth_rows
 
         signal = np.full(100, 0.01)
         signal[10:15] = 0.4
@@ -123,7 +149,7 @@ class TestSmooth:
         np.savetxt(src, signal, delimiter=",")
         assert main(["smooth", "--input", str(src), "--output", str(dst)]) == 0
         out = np.loadtxt(dst, delimiter=",")
-        expected = sss(signal, SssConfig(cutoff_ratio=0.7, mix_alpha=0.5))
+        expected = smooth_rows(signal, SssConfig(cutoff_ratio=0.7, mix_alpha=0.5))
         assert np.max(np.abs(out - expected)) < 1e-9
 
     def test_parse_error_exits_2(self, tmp_path):
@@ -501,6 +527,24 @@ def test_nan_attention_exits_2(tmp_path, capsys):
 class TestUsageErrors:
     def test_no_command_exits_2(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("ratio", ["1.5", "0", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "allocate"])
+    def test_ratio_outside_unit_interval_exits_2(
+        self, fixture_dir, tmp_path, capsys, command, ratio
+    ):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        inputs = {
+            "simulate": ["--trace", str(fixture_dir / "trace.akvt"), "--policy", "snapkv"],
+            "allocate": ["--context-length", "549"],
+        }[command]
+        out = tmp_path / "out.json"
+        code = main(
+            [command, *inputs, "--scores", str(scores_path), "--ratio", ratio, "--out", str(out)]
+        )
+        assert code == 2
+        assert "ratio must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

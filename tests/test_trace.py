@@ -212,7 +212,7 @@ class TestAlignGeneratedToWords:
         mapping = align_generated_to_words(
             steps_from_texts(["hel", "lo", " world"]), words_from_texts(["hello", "world"])
         )
-        assert mapping.as_dict() == {0: frozenset({0, 1}), 1: frozenset({2})}
+        assert dict(mapping.entries) == {0: frozenset({0, 1}), 1: frozenset({2})}
 
     def test_empty_word_list_gives_empty_map(self):
         mapping = align_generated_to_words(steps_from_texts(["hi"]), [])
@@ -223,13 +223,13 @@ class TestAlignGeneratedToWords:
             steps_from_texts(["b ", "a ", "c"]), words_from_texts(["a", "b", "c"])
         )
         # "a" matches step 1, then "b" (behind the cursor) is skipped.
-        assert mapping.as_dict() == {0: frozenset({1}), 2: frozenset({2})}
+        assert dict(mapping.entries) == {0: frozenset({1}), 2: frozenset({2})}
 
     def test_case_and_punctuation_are_ignored(self):
         mapping = align_generated_to_words(
             steps_from_texts(["Hello,", " WORLD!"]), words_from_texts(["hello", "world"])
         )
-        assert mapping.as_dict() == {0: frozenset({0}), 1: frozenset({1})}
+        assert dict(mapping.entries) == {0: frozenset({0}), 1: frozenset({1})}
 
     def test_step_indices_disjoint_across_words(self):
         texts = ["one", " two", " thr", "ee", " four"]
@@ -247,4 +247,4 @@ class TestAlignGeneratedToWords:
             steps_from_texts(["hello", " worldgood", "bye"]),
             words_from_texts(["hello", "worldgoodbye"]),
         )
-        assert mapping.as_dict() == {0: frozenset({0}), 1: frozenset({1, 2})}
+        assert dict(mapping.entries) == {0: frozenset({0}), 1: frozenset({1, 2})}
