@@ -57,22 +57,57 @@ class RunConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    values = {}
     if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text())
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - known
+        values = json.loads(Path(args.config).read_text())
+        if not isinstance(values, dict):
+            raise AudioKvError(f"{args.config}: a config must be a JSON object of RunConfig fields")
+        unknown = set(values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise AudioKvError(f"unknown config keys: {sorted(unknown)}")
-        if "retention_ratios" in file_values:
-            file_values["retention_ratios"] = tuple(file_values["retention_ratios"])
-        cfg = replace(cfg, **file_values)
-    overrides = {}
     for field in fields(RunConfig):
         value = getattr(args, field.name, None)
         if value is not None:
-            overrides[field.name] = value
-    return replace(cfg, **overrides)
+            values[field.name] = value
+    return _check_config(replace(RunConfig(), **values))
+
+
+# The numeric RunConfig fields: integer or not, and the range their consumers
+# (`filter_words`, `TopKConfig`, `build_observation_window`,
+# `resolve_base_tokens`, `SssConfig`) accept.
+_NUMBERS = {
+    "tau": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "top_k": (True, ">= 1", lambda v: v >= 1),
+    "window": (True, ">= 1", lambda v: v >= 1),
+    "base_fraction": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "cutoff_ratio": (False, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "mix_alpha": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+
+
+def _is_number(value: object, integer: bool = False) -> bool:
+    kinds = int if integer else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_config(cfg: RunConfig) -> RunConfig:
+    """`cfg` if every field has the type and range its consumer needs.
+
+    Flag and `--config` values both come through here, so either way a bad
+    value is an AudioKvError (exit 2) before any file is read or written.
+    """
+    for name, (integer, rule, holds) in _NUMBERS.items():
+        value = getattr(cfg, name)
+        if not _is_number(value, integer) or not holds(value):
+            kind = "an integer" if integer else "a number"
+            raise AudioKvError(f"{name} must be {kind} {rule}, got {value!r}")
+    ratios = cfg.retention_ratios
+    if not isinstance(ratios, (list, tuple)) or not ratios or not all(map(_is_number, ratios)):
+        raise AudioKvError(f"retention_ratios must be a non-empty list of numbers, got {ratios!r}")
+    try:
+        return replace(cfg, retention_ratios=tuple(map(_ratio, ratios)))
+    except argparse.ArgumentTypeError as exc:
+        raise AudioKvError(f"retention_ratios: {exc}") from exc
 
 
 def _ratio(raw: str) -> float:
@@ -207,8 +242,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if not cfg.retention_ratios:
-        raise AudioKvError("at least one retention ratio is required")
     trace, scores = _score_from_files(cfg)
     obs_steps = min(cfg.window, trace.num_steps - 1)
     if obs_steps < 1:
@@ -323,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AudioKvError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (AudioKvError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -95,11 +95,12 @@ def _summed_attention(trace: AttentionTrace, width: int) -> np.ndarray:
 def topk_mask(scores: np.ndarray, k: np.ndarray, ranked: np.ndarray | None = None) -> np.ndarray:
     """True at the k[...] highest scores of each row, ties going to the lower index.
 
-    This is where every selection and the oracle overlap rank: each row keeps
-    everything above its kth-largest value, then the first of the entries
-    equal to it. The kth value is read off `ranked`, the value sort of
-    `scores` along the last axis, which callers ranking one array under
-    several k sort once and pass in; without it the scores are sorted here.
+    This is where every selection ranks: each row keeps everything above its
+    kth-largest value, then the first of the entries equal to it (the oracle
+    overlap applies the same rule through `metrics._descending_ranks`). The
+    kth value is read off `ranked`, the value sort of `scores` along the last
+    axis, which callers ranking one array under several k sort once and pass
+    in; without it the scores are sorted here.
     """
     context = scores.shape[-1]
     if context == 0:

@@ -28,7 +28,6 @@ from .eviction import (
     build_observation_window,
     rank_scores,
     select,
-    topk_mask,
 )
 from .spectral import SssConfig
 from .trace import AttentionTrace
@@ -102,14 +101,27 @@ def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) 
     """
     boundary = find_eviction_step(trace, result.context_length)
     future = aggregate_future_attention(trace, boundary, horizon, result.context_length)
-    return _overlap(result, future.aggregated, np.sort(future.aggregated, axis=-1))
+    return _overlap(result, _descending_ranks(future.aggregated))
 
 
-def _overlap(result: EvictionResult, future: np.ndarray, ranked: np.ndarray) -> float:
-    """`oracle_overlap` against a held-out aggregate and its value sort."""
+def _descending_ranks(values: np.ndarray) -> np.ndarray:
+    """Each entry's place in its row sorted by descending value, ties going
+    to the lower index: `ranks < k` is `topk_mask(values, k)` for every k."""
+    order = np.argsort(-values, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(values.shape[-1]), axis=-1)
+    return ranks
+
+
+def _overlap(result: EvictionResult, future_ranks: np.ndarray) -> float:
+    """`oracle_overlap` against the held-out aggregate's `_descending_ranks`.
+
+    Ranking the future once serves every set size: a head's oracle set is
+    the entries ranked below the number it retained.
+    """
     retained = result.mask
     sizes = retained.sum(axis=-1)
-    hits = (retained & topk_mask(future, sizes, ranked)).sum(axis=-1)
+    hits = (retained & (future_ranks < sizes[..., None])).sum(axis=-1)
     overlaps = np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
     return float(np.mean(overlaps.ravel()))
 
@@ -135,14 +147,25 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
         raise ValueError("bins must be >= 2")
     layers, heads = result.shape
     context = result.context_length
-    # np.histogram's bin for each position: edges[i] <= position < edges[i+1].
-    bin_of = np.digitize(np.arange(context), np.linspace(0, context, bins + 1)[1:-1])
-    head, index = np.nonzero(result.mask.reshape(layers * heads, context))
-    counts = np.bincount(head * bins + bin_of[index], minlength=layers * heads * bins)
-    entropies = []
-    for row in counts.reshape(layers * heads, bins):
-        p = row[row > 0] / row.sum()
-        entropies.append(float(-np.sum(p * np.log(p))) if len(p) else 0.0)
+    # Bin b holds positions [bounds[b], bounds[b+1]): np.histogram's rule,
+    # edges[b] <= position < edges[b+1]. With fewer positions than bins, some
+    # bins are empty.
+    bounds = np.ceil(np.linspace(0, context, bins + 1)).astype(np.intp)
+    filled = bounds[:-1] < bounds[1:]
+    rows = result.mask.reshape(layers * heads, context)
+    counts = np.zeros((layers * heads, bins), dtype=np.int64)
+    counts[:, filled] = np.add.reduceat(rows, bounds[:-1][filled], axis=-1, dtype=np.int64)
+    occupied = counts > 0
+    used = occupied.sum(axis=-1)
+    # numpy's summation order depends on a row's length, so heads are summed
+    # in groups that fill the same number of bins, in bin order: each gets the
+    # bits its own 1-D -np.sum(p * np.log(p)) would. Empty heads score 0.
+    entropies = np.zeros(layers * heads)
+    for n in np.unique(used[used > 0]):
+        group = used == n
+        kept = counts[group][occupied[group]].reshape(-1, n)
+        p = kept / kept.sum(axis=-1, keepdims=True)
+        entropies[group] = -np.sum(p * np.log(p), axis=-1)
     return float(np.mean(entropies))
 
 
@@ -168,8 +191,9 @@ def run_comparison(
     The first `observation_width` steps feed the policies; the held-out steps
     (up to `horizon` of them) score the results. Pairs run one after another
     and reports come back in input order. The window's scores are smoothed
-    and sorted once per distinct SSS config and the held-out aggregate is
-    sorted once; every pair ranks against those.
+    and sorted once per distinct SSS config, and the held-out aggregate is
+    ranked once (`_descending_ranks`); every pair selects and scores its
+    oracle overlap against those.
     """
     if len(policies) != len(plans):
         raise ValueError("policies and plans must pair up one to one")
@@ -186,7 +210,7 @@ def run_comparison(
     window = build_observation_window(obs_trace, obs_steps)
     context = obs_trace.final_context_length
     future = aggregate_future_attention(trace, obs_steps - 1, horizon, context)
-    future_ranked = np.sort(future.aggregated, axis=-1)
+    future_ranks = _descending_ranks(future.aggregated)
     rankings = {
         sss: rank_scores(window, sss, recent)
         for sss in dict.fromkeys(p.sss for p in policies if p.selector == "audiokv")
@@ -203,7 +227,7 @@ def run_comparison(
             RetentionReport(
                 policy_name=policy.name,
                 retention_ratio=float(result.mask.mean()),
-                oracle_overlap=_overlap(result, future.aggregated, future_ranked),
+                oracle_overlap=_overlap(result, future_ranks),
                 coverage_entropy=coverage_entropy(result, bins),
                 mass_retained=retained_mass(result, future),
                 memory_bytes=memory_footprint(result, geom),

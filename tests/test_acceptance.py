@@ -6,7 +6,9 @@ families (the subject of each mechanism); seeds, budgets, and tolerances are
 pinned here rather than deferred to configuration.
 """
 
+import functools
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from audiokv.budget import AllocationMode, BudgetPlan, allocate, resolve_base_to
 from audiokv.cli import main
 from audiokv.eviction import (
     EvictionResult,
+    ObservationWindow,
     build_observation_window,
     select_audiokv,
     select_snapkv,
@@ -57,6 +60,29 @@ def scored_fixture(fixture, k=24, tau=0.95):
     words = filter_words(fixture.words, tau)
     mapping = align_generated_to_words(list(fixture.trace.steps), words)
     return score_heads(fixture.trace, words, mapping, TopKConfig(k))
+
+
+class SpikePlateau(NamedTuple):
+    """What acceptance 04 and 09 read of one spike-plateau fixture."""
+
+    window: ObservationWindow  # the first 32 steps
+    future: ObservationWindow  # the next 64 steps, cut to the window's context
+    scores: HeadScoreMatrix
+    planted_heads: tuple[tuple[int, int], ...]
+
+
+@functools.cache
+def spike_plateau(seed):
+    """Spike-plateau fixture `seed` as 04 and 09 read it, generated once per
+    module. The trace (~3.8 MB) is not kept, and the arrays are read-only, so
+    neither test can change what the other reads."""
+    fixture = generate_fixture("spike-plateau", seed)
+    window = build_observation_window(fixture.trace.prefix(32), 32)
+    future = aggregate_future_attention(fixture.trace, 31, 64, window.context_length)
+    scores = scored_fixture(fixture)
+    for array in (window.aggregated, future.aggregated, scores.scores):
+        array.flags.writeable = False
+    return SpikePlateau(window, future, scores, fixture.planted_heads)
 
 
 def test_01_dft_oracle_equivalence():
@@ -108,9 +134,8 @@ def test_04_smoothing_disperses_topk_selection():
     cfg = SssConfig(cutoff_ratio=0.7, mix_alpha=0.5)
     wins = 0
     for seed in range(100):
-        fixture = generate_fixture("spike-plateau", seed)
-        obs = fixture.trace.prefix(32)
-        window = build_observation_window(obs, 32)
+        fixture = spike_plateau(seed)
+        window = fixture.window
         plan = uniform_plan(*window.shape, capacity=32 + 16)
         raw = select_audiokv(window, plan, None, recent=32)
         smoothed = select_audiokv(window, plan, cfg, recent=32)
@@ -204,14 +229,10 @@ def test_09_ablation_ordering_on_retained_mass():
     ratios = (0.4, 0.6, 0.8)
     chain_wins = {r: 0 for r in ratios}
     for seed in range(100):
-        fixture = generate_fixture("spike-plateau", seed)
-        trace = fixture.trace
-        obs = trace.prefix(32)
-        window = build_observation_window(obs, 32)
+        window, future, matrix, _ = spike_plateau(seed)
         context = window.context_length
-        n = trace.num_layers * trace.num_heads
-        matrix = scored_fixture(fixture)
-        future = aggregate_future_attention(trace, 31, 64, context)
+        layers, heads = window.shape
+        n = layers * heads
         for ratio in ratios:
             budget = n * int(ratio * context)
             base = resolve_base_tokens(budget, n, 0.5)

@@ -435,6 +435,67 @@ class TestCompareCmd:
         ) == 2
 
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"retention_ratios": [1.5]}, []),
+            ({"retention_ratios": [0]}, []),
+            ({"retention_ratios": 0.5}, []),
+            ({"retention_ratios": []}, []),
+            ({"retention_ratios": ["0.5"]}, []),
+            ({"retention_ratios": [True]}, []),
+            ({"window": "abc"}, []),
+            ({"window": 0}, []),
+            ({"top_k": 2.5}, []),
+            ({"tau": True}, []),
+            ({"mix_alpha": 1.5}, []),
+            ({"base_fraction": -0.1}, []),
+            (7, []),
+            ([0.4], []),
+            (None, ["--tau", "2"]),
+            (None, ["--top-k", "0"]),
+            (None, ["--window", "0"]),
+            (None, ["--cutoff-ratio", "2"]),
+            (None, ["--mix-alpha", "-1"]),
+            (None, ["--base-fraction", "1.5"]),
+        ],
+    )
+    def test_bad_run_setting_exits_2(self, fixture_dir, tmp_path, capsys, config, flags):
+        # Settings get the same checks whether a flag or `--config` gives them.
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg), *flags]
+        out = tmp_path / "z.csv"
+        code = main(
+            [
+                "compare",
+                *flags,
+                "--trace",
+                str(fixture_dir / "trace.akvt"),
+                "--alignment",
+                str(fixture_dir / "alignment.json"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--trace", "--config"])
+    def test_directory_as_input_exits_2(self, fixture_dir, tmp_path, capsys, flag):
+        args = {
+            "--trace": str(fixture_dir / "trace.akvt"),
+            "--alignment": str(fixture_dir / "alignment.json"),
+            "--out": str(tmp_path / "d.csv"),
+        }
+        args[flag] = str(tmp_path)
+        assert main(["compare", *(part for pair in args.items() for part in pair)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+
 # `compare` on `gen-fixture spike-plateau --seed 7` with the default ratios,
 # as the per-head implementation wrote it; any change to selection, scoring
 # or formatting shows up here byte for byte.

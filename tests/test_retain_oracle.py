@@ -25,6 +25,7 @@ from audiokv.metrics import (
     KvGeometry,
     PolicySpec,
     RetentionReport,
+    _descending_ranks,
     aggregate_future_attention,
     coverage_entropy,
     memory_footprint,
@@ -169,18 +170,64 @@ def test_smooth_rows_matches_oracle(scores, zero_rows, cfg):
     assert np.array_equal(smooth_rows(scores, cfg), oracle.smooth_rows(scores, cfg))
 
 
+@st.composite
+def retained_masks(draw, shape, bins):
+    """Masks whose heads are each arbitrary, empty, or inside one entropy bin."""
+    kept = draw(arrays(bool, shape))
+    context = shape[-1]
+    positions = np.arange(context)
+    for head in kept.reshape(-1, context):
+        kind = draw(st.sampled_from(["any", "empty", "one bin"]))
+        if kind == "empty":
+            head[:] = False
+        elif kind == "one bin":
+            # Positions strictly inside p's bin, off its edges, stay in it
+            # however the edges round; p on an edge is kept alone.
+            p = draw(st.integers(0, context - 1))
+            b = p * bins // context
+            inside = (positions * bins > b * context) & (positions * bins < (b + 1) * context)
+            head &= inside & inside[p]
+            head[p] = True
+    return kept
+
+
 @PROPERTY
-@given(data=st.data(), scores=score_tensors(), bins=st.integers(2, 12))
-def test_metrics_match_per_head_oracle(data, scores, bins):
-    context = scores.shape[-1]
-    kept = data.draw(arrays(bool, scores.shape))
+@given(data=st.data(), bins=st.integers(2, 12))
+def test_metrics_match_per_head_oracle(data, bins):
+    # Contexts shorter than `bins` leave bins empty; empty and one-bin heads
+    # score zero. Values are compared bit for bit.
+    context = data.draw(st.one_of(st.integers(1, bins - 1), st.integers(bins, 60)))
+    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)), context)
+    scores = data.draw(score_tensors(shape=shape))
+    kept = data.draw(retained_masks(shape, bins))
     retained = tuple(tuple(np.flatnonzero(head).astype(np.int64) for head in row) for row in kept)
     result = EvictionResult(policy_name="p", mask=kept)
-    assert coverage_entropy(result, bins) == oracle.coverage_entropy(retained, context, bins)
-    future = data.draw(score_tensors(shape=scores.shape)).astype(np.float32)
+    expected = oracle.coverage_entropy(retained, context, bins)
+    assert coverage_entropy(result, bins).hex() == expected.hex()
+    future = data.draw(score_tensors(shape=shape)).astype(np.float32)
     trace = trace_of([scores, future])
     expected = oracle.oracle_overlap(retained, future.astype(np.float64))
-    assert oracle_overlap(result, trace, 1) == expected
+    assert oracle_overlap(result, trace, 1).hex() == expected.hex()
+
+
+@PROPERTY
+@given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40)))
+def test_future_ranks_keep_topk_mask_ties(data, shape):
+    # Rows drawn from 1-4 levels tie most entries at the kth value, where the
+    # lower index must win as it does in `topk_mask`.
+    levels = data.draw(st.lists(tied, min_size=1, max_size=4, unique=True))
+    future = data.draw(arrays(np.float32, shape, elements=st.sampled_from(levels)))
+    aggregated = future.astype(np.float64)
+    ranks = _descending_ranks(aggregated)
+    k = data.draw(arrays(np.int64, shape[:-1], elements=st.integers(0, shape[-1])))
+    assert np.array_equal(ranks < k[..., None], topk_mask(aggregated, k))
+    kept = data.draw(arrays(bool, shape))
+    sizes = kept.sum(axis=-1)
+    hits = (kept & topk_mask(aggregated, sizes)).sum(axis=-1)
+    expected = float(np.mean(np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)))
+    trace = trace_of([np.ones(shape), future])
+    result = EvictionResult(policy_name="p", mask=kept)
+    assert oracle_overlap(result, trace, 1).hex() == expected.hex()
 
 
 @PROPERTY
