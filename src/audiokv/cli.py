@@ -118,6 +118,22 @@ def _ratio(raw: str) -> float:
     return ratio
 
 
+def _context_length(raw: str) -> int:
+    """`allocate --context-length`: a token count >= 1."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"context length must be an integer >= 1, got {raw}")
+    return value
+
+
+def _pool_width(raw: str) -> int:
+    """`simulate --pool-width`: an odd integer >= 1, as `select_snapkv` needs."""
+    width = int(raw)
+    if width < 1 or width % 2 == 0:
+        raise argparse.ArgumentTypeError(f"pool width must be an odd integer >= 1, got {raw}")
+    return width
+
+
 def _parse_ratios(raw: str) -> tuple[float, ...]:
     ratios = tuple(_ratio(r) for r in raw.split(",") if r.strip())
     if not ratios:
@@ -315,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--ratio", type=_ratio, default=None)
-    p.add_argument("--context-length", dest="context_length", type=int, default=None)
+    p.add_argument("--context-length", dest="context_length", type=_context_length, default=None)
     p.add_argument("--mode", default="combined", choices=[m.value for m in AllocationMode])
     add_common(p, output=True)
     p.set_defaults(func=cmd_allocate)
@@ -329,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_ratio, default=0.4)
     p.add_argument("--scores", default=None)
     p.add_argument("--plan", default=None)
-    p.add_argument("--pool-width", dest="pool_width", type=int, default=7)
+    p.add_argument("--pool-width", dest="pool_width", type=_pool_width, default=7)
     add_common(p, trace=True, output=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -356,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AudioKvError, OSError, json.JSONDecodeError) as exc:
+    except (AudioKvError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

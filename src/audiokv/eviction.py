@@ -319,6 +319,12 @@ def select(
 
 
 def save_result(result: EvictionResult, path: str | Path) -> None:
+    """Write `result` as the compact JSON `json.dumps` makes of its payload.
+
+    `retained` is written straight from the mask: each head's indices pick
+    their decimal texts from one table built per call, so no index becomes
+    a Python int on the way to the file.
+    """
     payload = {
         "policy": result.policy_name,
         "context_length": result.context_length,
@@ -330,11 +336,20 @@ def save_result(result: EvictionResult, path: str | Path) -> None:
             "budget": result.plan.global_budget,
             "mode": result.plan.mode,
         },
-        "retained": [
-            [head.tolist() for head in layer] for layer in result.retained
-        ],
     }
-    Path(path).write_text(json.dumps(payload))
+    digits = np.array([str(i).encode() for i in range(result.context_length)], dtype=object)
+
+    def listed(items) -> bytes:
+        """`json.dumps`' text of a list whose items are already text."""
+        return b"[" + b", ".join(items) + b"]"
+
+    retained = listed(
+        listed(listed(digits[np.flatnonzero(head)].tolist()) for head in layer)
+        for layer in result.mask
+    )
+    # "retained" is the last key: it goes in before the payload's closing brace.
+    text = json.dumps(payload).encode()
+    Path(path).write_bytes(text[:-1] + b', "retained": ' + retained + b"}")
 
 
 def load_result(path: str | Path) -> EvictionResult:

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -162,24 +165,34 @@ def validate_trace(trace: AttentionTrace) -> None:
 
 
 def write_trace(trace: AttentionTrace, path: str | Path) -> None:
-    """Serialize a trace; token texts go to the sidecar when any are non-empty."""
+    """Serialize a trace; token texts go to the sidecar when any are non-empty.
+
+    The file is written beside `path` and renamed over it, so a trace loaded
+    from `path` keeps reading the old file: truncating a mapped file would
+    kill its reader with SIGBUS.
+    """
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                TRACE_MAGIC,
-                TRACE_VERSION,
-                trace.num_layers,
-                trace.num_heads,
-                trace.num_steps,
-                trace.audio_start,
-                trace.num_audio_tokens,
-                trace.total_duration_s,
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(
+                _HEADER.pack(
+                    TRACE_MAGIC,
+                    TRACE_VERSION,
+                    trace.num_layers,
+                    trace.num_heads,
+                    trace.num_steps,
+                    trace.audio_start,
+                    trace.num_audio_tokens,
+                    trace.total_duration_s,
+                )
             )
-        )
-        for step in trace.steps:
-            fh.write(_U32.pack(step.context_length))
-            fh.write(np.ascontiguousarray(step.attention, dtype="<f4").tobytes())
+            for step in trace.steps:
+                fh.write(_U32.pack(step.context_length))
+                fh.write(np.ascontiguousarray(step.attention, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     texts = [step.generated_token_text for step in trace.steps]
     sidecar = _sidecar_path(path)
     if any(texts):
@@ -189,11 +202,20 @@ def write_trace(trace: AttentionTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> AttentionTrace:
-    """Read and fully validate a trace file (plus token sidecar if present)."""
+    """Read and fully validate a trace file (plus token sidecar if present).
+
+    The file is mapped read-only, not copied: each step's attention is a
+    read-only view of the mapping, which stays open while any step is alive.
+    """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise FormatError(f"{path}: a trace is memory-mapped, so it must be a regular file")
+        # mmap refuses an empty file, so the size is checked first.
+        if info.st_size < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     magic, version, layers, heads, num_steps, a0, n_audio, duration = _HEADER.unpack_from(
         data, 0
     )

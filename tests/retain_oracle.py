@@ -9,8 +9,11 @@ triples, and `oracle_overlap` / `coverage_entropy` score one head at a time
 with sets and `np.histogram`, so tests can require the batched code to match
 them exactly. `topk_mask` is the batched ranking sorting its own rows, so a
 precomputed sort passed to the real one can be checked against it.
+`result_file_bytes` is the result writer as it was, `json.dumps` of the
+payload with every retained index as a Python int.
 """
 
+import json
 import math
 
 import numpy as np
@@ -189,3 +192,21 @@ def coverage_entropy(retained, context, bins):
             p = counts[counts > 0] / len(kept)
             entropies.append(float(-np.sum(p * np.log(p))))
     return float(np.mean(entropies))
+
+
+def result_file_bytes(result):
+    """The bytes of `result`'s file: `json.dumps` of its payload."""
+    payload = {
+        "policy": result.policy_name,
+        "context_length": result.context_length,
+        "plan": None
+        if result.plan is None
+        else {
+            "window": result.plan.window,
+            "base": result.plan.base,
+            "budget": result.plan.global_budget,
+            "mode": result.plan.mode,
+        },
+        "retained": [[head.tolist() for head in layer] for layer in result.retained],
+    }
+    return json.dumps(payload).encode()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -214,6 +215,27 @@ class TestAllocateCmd:
         assert code == 2
         assert "scores.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["-10", "0"])
+    def test_context_length_below_one_exits_2(self, fixture_dir, tmp_path, capsys, length):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        out = tmp_path / "p.json"
+        code = main(
+            [
+                "allocate",
+                "--scores",
+                str(scores_path),
+                "--ratio",
+                "0.5",
+                "--context-length",
+                length,
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert "context length must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def simulate(fixture_dir, out, policy, *extra):
     return main(
@@ -306,6 +328,13 @@ class TestSimulateCmd:
         code = simulate(fixture_dir, out, policy, "--ratio", ratio, "--scores", str(scores_path))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("width", ["0", "-1", "2", "10000"])
+    def test_bad_pool_width_exits_2(self, fixture_dir, tmp_path, capsys, width):
+        out = tmp_path / "r.json"
+        assert simulate(fixture_dir, out, "snapkv", "--pool-width", width) == 2
+        assert "pool width must be an odd integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "payload",
@@ -583,6 +612,35 @@ def test_nan_attention_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "step 5 attention row sums" in capsys.readouterr().err
+
+
+def test_empty_trace_exits_2(tmp_path, capsys):
+    trace, out = tmp_path / "empty.akvt", tmp_path / "r.json"
+    trace.write_bytes(b"")
+    assert main(["simulate", "--trace", str(trace), "--policy", "snapkv", "--out", str(out)]) == 2
+    assert "truncated header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "alignment", "scores", "plan", "sidecar"])
+def test_undecodable_input_file_exits_2(fixture_dir, tmp_path, capsys, kind):
+    undecodable = b"\xff\xfe{}"
+    bad, trace, out = tmp_path / "bad.json", fixture_dir / "trace.akvt", tmp_path / "out"
+    bad.write_bytes(undecodable)
+    if kind == "sidecar":
+        trace = tmp_path / "trace.akvt"
+        shutil.copy(fixture_dir / "trace.akvt", trace)
+        (tmp_path / "trace.akvt.tokens.json").write_bytes(undecodable)
+    argv = {
+        "config": ["compare", "--config", bad, "--alignment", fixture_dir / "alignment.json"],
+        "alignment": ["score-heads", "--alignment", bad],
+        "scores": ["simulate", "--policy", "audiokv", "--scores", bad],
+        "plan": ["simulate", "--policy", "audiokv", "--plan", bad],
+        "sidecar": ["simulate", "--policy", "snapkv"],
+    }[kind]
+    assert main([*map(str, argv), "--trace", str(trace), "--out", str(out)]) == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestUsageErrors:

@@ -344,6 +344,14 @@ class TestResultIo:
         assert loaded.context_length == result.context_length
         assert np.array_equal(loaded.retained[0][0], result.retained[0][0])
 
+    def test_undecodable_file_raises_format_error(self, tmp_path):
+        from audiokv.eviction import load_result
+
+        path = tmp_path / "result.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(FormatError, match="UnicodeDecodeError"):
+            load_result(path)
+
     @pytest.mark.parametrize(
         "payload",
         [

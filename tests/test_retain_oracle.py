@@ -14,6 +14,8 @@ from audiokv.eviction import (
     ObservationWindow,
     _pool,
     build_observation_window,
+    load_result,
+    save_result,
     select_adakv,
     select_audiokv,
     select_h2o,
@@ -313,3 +315,40 @@ def test_run_comparison_matches_pairs_run_one_by_one(grid):
         )
     assert reports_to_csv(reports) == reports_to_csv(expected)
     assert reports == expected
+
+
+@st.composite
+def result_masks(draw):
+    """Masks whose heads are each random, empty or full, at contexts where the
+    indices' decimal width changes."""
+    widths = st.sampled_from([0, 1, 9, 10, 11, 99, 100, 999, 1000, 1001])
+    context = draw(widths | st.integers(0, 40))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), context)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kept = rng.random(shape) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    for head in kept.reshape(shape[0] * shape[1], context):
+        kind = draw(st.sampled_from(["random", "empty", "full"]))
+        if kind != "random":
+            head[:] = kind == "full"
+    return kept
+
+
+@PROPERTY
+@given(
+    kept=result_masks(),
+    name=st.text(max_size=6),
+    plan=st.none() | st.builds(
+        BudgetPlan,
+        capacities=st.just(np.zeros((1, 1), dtype=np.int64)),
+        window=st.integers(0, 10**6),
+        base=st.integers(0, 10**6),
+        global_budget=st.integers(0, 10**9),
+        mode=st.sampled_from([mode.value for mode in AllocationMode]),
+    ),
+)
+def test_result_file_matches_json_dumps_oracle(tmp_path_factory, kept, name, plan):
+    result = EvictionResult(name, kept, plan)
+    path = tmp_path_factory.mktemp("result") / "r.json"
+    save_result(result, path)
+    assert path.read_bytes() == oracle.result_file_bytes(result)
+    assert np.array_equal(load_result(path).mask, kept)

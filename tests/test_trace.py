@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,21 @@ def make_trace(layers=1, heads=1, contexts=(4, 5), a0=0, n_audio=4, duration=1.0
         num_audio_tokens=n_audio,
         total_duration_s=duration,
     )
+
+
+# Loads argv[1] with RLIMIT_DATA (private writable memory, which a read-only
+# file mapping does not count toward) set argv[2] bytes above what the process
+# already holds.
+LOAD_UNDER_DATA_LIMIT = """
+import resource, sys
+from audiokv.trace import load_trace
+
+with open("/proc/self/status") as fh:
+    held = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmData:"))
+_, hard = resource.getrlimit(resource.RLIMIT_DATA)
+resource.setrlimit(resource.RLIMIT_DATA, (held + int(sys.argv[2]), hard))
+print(load_trace(sys.argv[1]).num_steps)
+"""
 
 
 class TestTraceIo:
@@ -114,6 +133,46 @@ class TestTraceIo:
         write_trace(trace, path)
         with pytest.raises(FormatError):
             load_trace(path)
+
+    def test_rewrite_keeps_a_loaded_trace_readable(self, tmp_path):
+        # The loaded arrays map the old file; writing a shorter trace in place
+        # would change them, and reading past its end would raise SIGBUS.
+        path = tmp_path / "t.akvt"
+        old = make_trace(layers=2, heads=4, contexts=tuple(range(500, 520)))
+        write_trace(old, path)
+        loaded = load_trace(path)
+        assert not loaded.steps[0].attention.flags.writeable
+        new = make_trace(contexts=(4,))
+        write_trace(new, path)
+        for a, b in zip(old.steps, loaded.steps):
+            assert np.array_equal(a.attention, b.attention)
+        assert np.array_equal(load_trace(path).steps[0].attention, new.steps[0].attention)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.akvt"]
+
+    def test_device_or_pipe_raises_format_error(self):
+        with pytest.raises(FormatError, match="must be a regular file"):
+            load_trace(os.devnull)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmData")
+    def test_load_makes_no_copy_of_the_file(self, tmp_path):
+        # A ~32 MB trace loads in a process allowed only 24 MB more private
+        # data than it holds: the file is mapped, never read into memory.
+        path = tmp_path / "big.akvt"
+        contexts = range(2048, 2112)
+        steps = tuple(
+            DecodingStep(t, "", np.full((8, 8, context), 1.0 / context, dtype=np.float32))
+            for t, context in enumerate(contexts)
+        )
+        write_trace(AttentionTrace(8, 8, steps, 0, 750, 30.0), path)
+        assert path.stat().st_size > 32 * 2**20
+        run = subprocess.run(
+            [sys.executable, "-c", LOAD_UNDER_DATA_LIMIT, str(path), str(24 * 2**20)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout.split() == [b"64"]
 
     def test_alignment_roundtrip_uses_whisperx_field_names(self, tmp_path):
         words = [WordAlignment("Hello", 0.0, 0.4, 0.99), WordAlignment("world", 0.5, 0.9, 0.97)]
