@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError
+from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError, read_json
 from .heads import HeadScoreMatrix
 
 DEFAULT_PYRAMID_DECAY = 0.8
@@ -168,7 +168,7 @@ def save_plan(plan: BudgetPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> BudgetPlan:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     try:
         capacities = np.asarray(payload["capacities"], dtype=np.int64)
         plan = BudgetPlan(
@@ -178,7 +178,7 @@ def load_plan(path: str | Path) -> BudgetPlan:
             global_budget=int(payload["budget"]),
             mode=str(payload["mode"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad plan file: {exc!r}") from exc
     if capacities.ndim != 2:
         raise DimensionMismatchError(f"{path}: capacities must be a 2-D matrix")

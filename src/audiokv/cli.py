@@ -23,7 +23,7 @@ from .budget import (
     resolve_base_tokens,
     save_plan,
 )
-from .errors import AudioKvError
+from .errors import AudioKvError, read_json
 from .eviction import POLICIES, build_observation_window, save_result, select
 from .fixtures import PROFILES, generate_fixture
 from .heads import HeadScoreMatrix, TopKConfig, load_scores, save_scores, score_heads
@@ -59,7 +59,7 @@ class RunConfig:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
-        values = json.loads(Path(args.config).read_text())
+        values = read_json(args.config)
         if not isinstance(values, dict):
             raise AudioKvError(f"{args.config}: a config must be a JSON object of RunConfig fields")
         unknown = set(values) - {f.name for f in fields(RunConfig)}
@@ -372,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AudioKvError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (AudioKvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,4 +1,8 @@
-"""Exception types raised by the audiokv library."""
+"""Exception types raised by the audiokv library, and the JSON reader that
+raises them for a file that is not JSON."""
+
+import json
+from pathlib import Path
 
 
 class AudioKvError(Exception):
@@ -31,3 +35,15 @@ class CapacityBelowRecentError(AudioKvError):
 
 class HorizonError(AudioKvError):
     """No decoding steps remain after the eviction point."""
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON value in the text file at `path`.
+
+    A file that does not decode as text or does not parse as JSON raises a
+    FormatError naming `path`; a missing or unreadable file raises OSError.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not a JSON file: {type(exc).__name__}: {exc}") from exc

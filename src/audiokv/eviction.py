@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import AllocationMode, BudgetPlan
-from .errors import CapacityBelowRecentError, DimensionMismatchError, FormatError
+from .errors import CapacityBelowRecentError, DimensionMismatchError, FormatError, read_json
 from .spectral import SssConfig, smooth_rows
 from .trace import AttentionTrace
 
@@ -101,6 +101,10 @@ def topk_mask(scores: np.ndarray, k: np.ndarray, ranked: np.ndarray | None = Non
     kth value is read off `ranked`, the value sort of `scores` along the last
     axis, which callers ranking one array under several k sort once and pass
     in; without it the scores are sorted here.
+
+    Every row is scanned once for the entries at or above its kth value.
+    Only the rows where those number more than k, because the ties at the
+    kth value spill past it, are scanned again to keep their first ties.
     """
     context = scores.shape[-1]
     if context == 0:
@@ -110,10 +114,16 @@ def topk_mask(scores: np.ndarray, k: np.ndarray, ranked: np.ndarray | None = Non
     k = np.minimum(k, context)
     rank = np.minimum(context - k, context - 1)[..., None]
     kth = np.take_along_axis(ranked, rank, axis=-1)
-    above = scores > kth
-    tied = scores == kth
-    room = (k - above.sum(axis=-1))[..., None]
-    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
+    mask = scores >= kth
+    excess = np.count_nonzero(mask, axis=-1) - k
+    spill = excess > 0
+    if spill.any():
+        tied = scores[spill] == kth[spill]
+        room = (np.count_nonzero(tied, axis=-1) - excess[spill])[:, None]
+        # A running count of ties never exceeds the row length.
+        seen = np.cumsum(tied, axis=-1, dtype=np.min_scalar_type(context))
+        mask[spill] &= ~tied | (seen <= room)
+    return mask
 
 
 def _retain(
@@ -148,8 +158,11 @@ def _pool(scores: np.ndarray, width: int) -> np.ndarray:
 
     np.convolve sums each full window in index order (through BLAS dot
     products once width > 11) and each partial window at the two ends through
-    a BLAS dot product; the same arithmetic is repeated here.
+    a BLAS dot product; the same arithmetic is repeated here. Width 1 is the
+    identity, so `scores` itself comes back, not a copy.
     """
+    if width == 1:
+        return scores
     kernel = np.full(width, 1.0 / width)
     half = width // 2
     context = scores.shape[-1]
@@ -359,10 +372,10 @@ def load_result(path: str | Path) -> EvictionResult:
     must be strictly increasing and lie in [0, context_length).
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = read_json(path)
         policy, context = str(payload["policy"]), int(payload["context_length"])
         rows = [[np.asarray(kept) for kept in layer] for layer in payload["retained"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad result file: {exc!r}") from exc
     per_head = [kept for layer in rows for kept in layer]
     if not per_head or any(len(layer) != len(rows[0]) for layer in rows):

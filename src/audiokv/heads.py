@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError
+from .errors import DimensionMismatchError, FormatError, read_json
 from .trace import AttentionTrace, WordAlignment, WordStepMap, word_to_audio_span
 
 DEFAULT_TOP_K = 24
@@ -55,7 +55,12 @@ def score_heads(
     kth-largest value splits each row into the entries above it, which are
     all kept, and the ties at it, of which the first `room` are kept, so the
     set is a stable descending argsort's first k. Hits are counted per span
-    without building that set.
+    without building that set. Whether the ties spill past the top k shows
+    in the sort, as a tie just below the kth slot. When no row of a step
+    spills, every tie is kept, so only the span is scanned. Otherwise `room`
+    counts the entries above the kth value in the sort's top k - 1 slots,
+    and the rows before the span are scanned for the ties that take it
+    first.
     """
     shape = (trace.num_layers, trace.num_heads)
     totals = np.zeros(shape, dtype=np.float64)
@@ -67,14 +72,19 @@ def score_heads(
         for step_index in sorted(step_indices):
             step = steps_by_index[step_index]
             rows = step.attention  # [L, H, context]
-            k = min(cfg.k, step.context_length)
-            kth = np.sort(rows, axis=-1)[..., step.context_length - k, None]
-            room = k - np.count_nonzero(rows > kth, axis=-1)
-            tied_before = np.count_nonzero(rows[..., :lo] == kth, axis=-1)
+            context = step.context_length
+            k = min(cfg.k, context)
+            ranked = np.sort(rows, axis=-1)
+            kth = ranked[..., context - k, None]
             inside = rows[..., lo:hi]
-            hits = np.count_nonzero(inside > kth, axis=-1) + np.clip(
-                room - tied_before, 0, np.count_nonzero(inside == kth, axis=-1)
-            )
+            if k < context and np.any(ranked[..., context - k - 1, None] == kth):
+                room = k - np.count_nonzero(ranked[..., context - k + 1 :] > kth, axis=-1)
+                tied_before = np.count_nonzero(rows[..., :lo] == kth, axis=-1)
+                hits = np.count_nonzero(inside > kth, axis=-1) + np.clip(
+                    room - tied_before, 0, np.count_nonzero(inside == kth, axis=-1)
+                )
+            else:
+                hits = np.count_nonzero(inside >= kth, axis=-1)
             totals += hits / cfg.k
             num_samples += 1
     scores = totals / num_samples if num_samples else totals
@@ -92,15 +102,23 @@ def save_scores(matrix: HeadScoreMatrix, path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> HeadScoreMatrix:
-    payload = json.loads(Path(path).read_text())
+    """Read a head-score file; every score must be a number in [0, 1]."""
+    payload = read_json(path)
     try:
         scores = np.asarray(payload["scores"], dtype=np.float64)
         header = (int(payload["num_layers"]), int(payload["num_heads"]))
         num_samples = int(payload["num_samples"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad head-score file: {exc!r}") from exc
     if scores.shape != header:
         raise DimensionMismatchError(
             f"{path}: scores shaped {scores.shape}, header says {header}"
+        )
+    # NaN fails both comparisons, so it is out of range too.
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        layer, head = np.argwhere(outside)[0]
+        raise FormatError(
+            f"{path}: score [{layer}][{head}] is {scores[layer, head]}, not a number in [0, 1]"
         )
     return HeadScoreMatrix(scores=scores, num_samples=num_samples)

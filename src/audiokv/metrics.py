@@ -142,7 +142,10 @@ def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
 
 
 def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -> float:
-    """Mean per-head Shannon entropy (nats) of retained indices over equal bins."""
+    """Mean per-head Shannon entropy (nats) of retained indices over equal bins.
+
+    Each bin's counts are one scan of that bin's columns of the mask.
+    """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     layers, heads = result.shape
@@ -151,10 +154,11 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
     # edges[b] <= position < edges[b+1]. With fewer positions than bins, some
     # bins are empty.
     bounds = np.ceil(np.linspace(0, context, bins + 1)).astype(np.intp)
-    filled = bounds[:-1] < bounds[1:]
     rows = result.mask.reshape(layers * heads, context)
-    counts = np.zeros((layers * heads, bins), dtype=np.int64)
-    counts[:, filled] = np.add.reduceat(rows, bounds[:-1][filled], axis=-1, dtype=np.int64)
+    counts = np.stack(
+        [np.count_nonzero(rows[:, lo:hi], axis=-1) for lo, hi in zip(bounds[:-1], bounds[1:])],
+        axis=-1,
+    )
     occupied = counts > 0
     used = occupied.sum(axis=-1)
     # numpy's summation order depends on a row's length, so heads are summed

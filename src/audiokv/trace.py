@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateSpanError, FormatError, IntegrityError
+from .errors import DegenerateSpanError, FormatError, IntegrityError, read_json
 
 TRACE_MAGIC = b"AKVT"
 TRACE_VERSION = 1
@@ -266,7 +266,7 @@ def _load_sidecar(path: Path, num_steps: int) -> list[str]:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         return [""] * num_steps
-    texts = json.loads(sidecar.read_text())
+    texts = read_json(sidecar)
     if not isinstance(texts, list) or len(texts) != num_steps:
         raise FormatError(f"{sidecar}: expected a list of {num_steps} strings")
     return [str(t) for t in texts]
@@ -277,7 +277,7 @@ def load_alignment(path: str | Path) -> list[WordAlignment]:
 
     Times must be finite, non-negative and ordered (start <= end).
     """
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise FormatError(f"{path}: expected a JSON array")
     words = []

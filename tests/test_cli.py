@@ -6,11 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
-from audiokv.budget import AllocationMode
+from audiokv.budget import AllocationMode, load_plan
 from audiokv.cli import main
-from audiokv.eviction import POLICIES
+from audiokv.errors import FormatError
+from audiokv.eviction import POLICIES, load_result
 from audiokv.heads import load_scores
-from audiokv.trace import load_trace, write_trace
+from audiokv.trace import load_alignment, load_trace, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +194,15 @@ class TestAllocateCmd:
             {"num_layers": 1, "num_heads": 2, "num_samples": 3, "scores": "high"},
             {"num_layers": "one", "num_heads": 2, "num_samples": 3, "scores": [[0.1, 0.2]]},
             [[0.1, 0.2]],
+            {"num_layers": 1, "num_heads": 2, "num_samples": float("inf"), "scores": [[0.1, 0.2]]},
         ],
-        ids=["missing-scores", "scores-not-numbers", "layers-not-int", "not-an-object"],
+        ids=[
+            "missing-scores",
+            "scores-not-numbers",
+            "layers-not-int",
+            "not-an-object",
+            "samples-infinite",
+        ],
     )
     def test_malformed_scores_file_exits_2(self, tmp_path, capsys, payload):
         scores_path = tmp_path / "scores.json"
@@ -214,6 +222,22 @@ class TestAllocateCmd:
         )
         assert code == 2
         assert "scores.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "score", [-5.0, -1e-9, 1.5, 1e308, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
+        scores_path, out = tmp_path / "scores.json", tmp_path / "p.json"
+        scores = [[0.1, 1.0], [score, 0.0]]
+        scores_path.write_text(
+            json.dumps({"num_layers": 2, "num_heads": 2, "num_samples": 3, "scores": scores})
+        )
+        argv = ["allocate", "--scores", scores_path, "--budget", "5000", "--out", out]
+        code = main(list(map(str, argv)))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{scores_path}: score [1][0] is " in err and "not a number in [0, 1]" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("length", ["-10", "0"])
     def test_context_length_below_one_exits_2(self, fixture_dir, tmp_path, capsys, length):
@@ -342,8 +366,16 @@ class TestSimulateCmd:
             {"window": 32, "base": 0, "budget": 8, "mode": "uniform"},
             {"window": 32, "base": 0, "budget": 8, "mode": "uniform", "capacities": [["x"]]},
             {"window": None, "base": 0, "budget": 8, "mode": "uniform", "capacities": [[1]]},
+            {"window": float("inf"), "base": 0, "budget": 8, "mode": "uniform", "capacities": [[1]]},
+            {"window": 32, "base": 0, "budget": 8, "mode": "uniform", "capacities": [[1e308]]},
         ],
-        ids=["missing-capacities", "capacities-not-ints", "window-not-int"],
+        ids=[
+            "missing-capacities",
+            "capacities-not-ints",
+            "window-not-int",
+            "window-infinite",
+            "capacity-overflows",
+        ],
     )
     def test_malformed_plan_file_exits_2(self, fixture_dir, tmp_path, capsys, payload):
         plan_path = tmp_path / "plan.json"
@@ -641,6 +673,32 @@ def test_undecodable_input_file_exits_2(fixture_dir, tmp_path, capsys, kind):
     assert main([*map(str, argv), "--trace", str(trace), "--out", str(out)]) == 2
     assert "can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"x": ', b"\xff\xfe"], ids=["truncated", "undecodable"])
+@pytest.mark.parametrize("kind", ["config", "alignment", "scores", "plan", "result", "sidecar"])
+def test_bad_json_file_is_named_in_the_error(fixture_dir, tmp_path, capsys, kind, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if kind == "config":
+        out = tmp_path / "report.csv"
+        argv = ["compare", "--config", bad, "--trace", fixture_dir / "trace.akvt",
+                "--alignment", fixture_dir / "alignment.json", "--out", out]
+        assert main(list(map(str, argv))) == 2
+        assert f"error: {bad}: not a JSON file" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    if kind == "sidecar":
+        trace = tmp_path / "trace.akvt"
+        shutil.copy(fixture_dir / "trace.akvt", trace)
+        bad.rename(tmp_path / "trace.akvt.tokens.json")
+        bad, read = tmp_path / "trace.akvt.tokens.json", lambda _: load_trace(trace)
+    else:
+        read = {"alignment": load_alignment, "scores": load_scores, "plan": load_plan,
+                "result": load_result}[kind]
+    with pytest.raises(FormatError) as caught:
+        read(bad)
+    assert str(caught.value).startswith(f"{bad}: not a JSON file")
 
 
 class TestUsageErrors:

@@ -367,6 +367,7 @@ class TestResultIo:
             {"policy": "p", "context_length": 4, "retained": [[[[0, 1], [2, 3]]]]},
             {"policy": "p", "context_length": 4, "retained": [[[0, 1.5]]]},
             {"policy": "p", "context_length": 4, "retained": []},
+            {"policy": "p", "context_length": float("inf"), "retained": [[[0]]]},
         ],
         ids=[
             "missing-retained",
@@ -381,6 +382,7 @@ class TestResultIo:
             "head-not-flat",
             "index-not-integral",
             "no-layers",
+            "context-infinite",
         ],
     )
     def test_malformed_file_raises_format_error(self, tmp_path, payload):

@@ -16,6 +16,7 @@ from audiokv.eviction import (
     build_observation_window,
     load_result,
     save_result,
+    select,
     select_adakv,
     select_audiokv,
     select_h2o,
@@ -48,14 +49,21 @@ tied = st.sampled_from([0.0, 0.125, 0.5, 1.0])
 
 @st.composite
 def score_tensors(draw, min_context=1, max_context=60, shape=None):
+    """All rows tie-heavy, all continuous, or a mix of the two: then the rows
+    whose ties spill past a top-k are some of a tensor's rows, not all."""
     shape = shape or (
         draw(st.integers(1, 3)),
         draw(st.integers(1, 4)),
         draw(st.integers(min_context, max_context)),
     )
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["tied", "continuous", "mixed"]))
+    if kind == "tied":
         return draw(arrays(np.float64, shape, elements=tied))
-    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) ** 3
+    continuous = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) ** 3
+    if kind == "continuous":
+        return continuous
+    heavy = draw(arrays(np.bool_, shape[:-1]))[..., None]
+    return np.where(heavy, draw(arrays(np.float64, shape, elements=tied)), continuous)
 
 
 @st.composite
@@ -110,6 +118,19 @@ def test_select_snapkv_matches_oracle(data, pool_width):
     result = select_snapkv(window, capacity, pool_width, recent)
     expected = oracle.select_snapkv(window, capacity, pool_width, recent)
     assert_same_retained(result.retained, expected)
+
+
+@PROPERTY
+@given(data=st.data(), scores=score_tensors())
+def test_compare_snapkv_row_ranks_a_read_only_window(data, scores):
+    # `run_comparison` selects its snapkv rows at pool width 1, where `_pool`
+    # hands back the window's own array: no selection step may write to it.
+    scores.setflags(write=False)
+    recent, caps = data.draw(capacities_for(scores.shape[:2], scores.shape[-1]))
+    window = ObservationWindow(width=1, aggregated=scores)
+    assert _pool(scores, 1) is scores
+    result = select("snapkv", "snapkv", window, None, plan_of(caps), None, recent, 1)
+    assert_same_retained(result.retained, oracle.select_snapkv(window, caps, 1, recent))
 
 
 @PROPERTY
