@@ -168,9 +168,14 @@ def save_plan(plan: BudgetPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> BudgetPlan:
+    """Read a plan file back. Capacities must be JSON integers: a fractional
+    (or float-valued) capacity is a FormatError, not truncated."""
     payload = read_json(path)
     try:
-        capacities = np.asarray(payload["capacities"], dtype=np.int64)
+        capacities = np.asarray(payload["capacities"])
+        if capacities.size and capacities.dtype.kind != "i":
+            raise ValueError(f"capacities must be integers, got dtype {capacities.dtype}")
+        capacities = capacities.astype(np.int64)
         plan = BudgetPlan(
             capacities=capacities,
             window=int(payload["window"]),

@@ -41,9 +41,6 @@ from .trace import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    trace_path: str = ""
-    alignment_path: str = ""
-    output_path: str = ""
     tau: float = 0.95
     top_k: int = 24
     window: int = 32
@@ -157,9 +154,9 @@ def cmd_gen_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_from_files(cfg: RunConfig):
-    trace = load_trace(cfg.trace_path)
-    words = filter_words(load_alignment(cfg.alignment_path), cfg.tau)
+def _score_from_files(args: argparse.Namespace, cfg: RunConfig):
+    trace = load_trace(args.trace)
+    words = filter_words(load_alignment(args.alignment), cfg.tau)
     mapping = align_generated_to_words(list(trace.steps), words)
     scores = score_heads(trace, words, mapping, TopKConfig(cfg.top_k))
     return trace, scores
@@ -167,8 +164,8 @@ def _score_from_files(cfg: RunConfig):
 
 def cmd_score_heads(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    _, scores = _score_from_files(cfg)
-    save_scores(scores, cfg.output_path)
+    _, scores = _score_from_files(args, cfg)
+    save_scores(scores, args.out)
     for layer in range(scores.shape[0]):
         row = scores.scores[layer]
         top = int(np.argmax(row))
@@ -176,7 +173,7 @@ def cmd_score_heads(args: argparse.Namespace) -> int:
             f"layer {layer}: mean {row.mean():.4f} max {row.max():.4f} "
             f"(head {top}), {scores.num_samples} aligned steps"
         )
-    print(f"wrote head scores to {cfg.output_path}")
+    print(f"wrote head scores to {args.out}")
     return 0
 
 
@@ -214,7 +211,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         raise AudioKvError("provide --budget, or --ratio with --context-length")
     mode = AllocationMode(args.mode)
     plan = _plan(scores, budget, mode, cfg)
-    save_plan(plan, cfg.output_path)
+    save_plan(plan, args.out)
     print(
         f"{mode.value}: budget {budget} over {n} heads "
         f"(window {cfg.window}, base {plan.base}); capacities "
@@ -226,7 +223,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     policy = POLICIES[args.policy]
-    trace = load_trace(cfg.trace_path)
+    trace = load_trace(args.trace)
     obs_steps = min(cfg.window, trace.num_steps)
     obs_trace = trace.prefix(obs_steps)
     window = build_observation_window(obs_trace, obs_steps)
@@ -247,18 +244,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = select(
         args.policy, policy.selector, window, obs_trace, plan, sss_cfg, cfg.window, args.pool_width
     )
-    save_result(result, cfg.output_path)
+    save_result(result, args.out)
     kept = result.total_retained()
     print(
         f"{args.policy}: retained {kept} of {n * context} entries "
-        f"({kept / (n * context):.3f}) -> {cfg.output_path}"
+        f"({kept / (n * context):.3f}) -> {args.out}"
     )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    trace, scores = _score_from_files(cfg)
+    trace, scores = _score_from_files(args, cfg)
     obs_steps = min(cfg.window, trace.num_steps - 1)
     if obs_steps < 1:
         raise AudioKvError("trace too short for a comparison split")
@@ -283,8 +280,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         observation_width=cfg.window,
         recent=cfg.window,
     )
-    write_reports(reports, cfg.output_path, args.json)
-    print(f"wrote {len(reports)} report rows to {cfg.output_path}")
+    write_reports(reports, args.out, args.json)
+    print(f"wrote {len(reports)} report rows to {args.out}")
     return 0
 
 
@@ -296,20 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, trace=False, alignment=False, output=False):
+    def add_settings(p, *names):
+        """`--config` plus a flag for each RunConfig field the command reads."""
         p.add_argument("--config", help="JSON config file with RunConfig fields")
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--top-k", dest="top_k", type=int, default=None)
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--base-fraction", dest="base_fraction", type=float, default=None)
-        p.add_argument("--cutoff-ratio", dest="cutoff_ratio", type=float, default=None)
-        p.add_argument("--mix-alpha", dest="mix_alpha", type=float, default=None)
-        if trace:
-            p.add_argument("--trace", dest="trace_path", required=True)
-        if alignment:
-            p.add_argument("--alignment", dest="alignment_path", required=True)
-        if output:
-            p.add_argument("--out", dest="output_path", required=True)
+        for name in names:
+            kind = int if _NUMBERS[name][0] else float
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
 
     p = sub.add_parser("gen-fixture", help="write a deterministic synthetic trace")
     p.add_argument("--seed", type=int, default=0)
@@ -318,13 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_fixture)
 
     p = sub.add_parser("score-heads", help="score audio-critical heads from a trace")
-    add_common(p, trace=True, alignment=True, output=True)
+    p.add_argument("--trace", required=True)
+    p.add_argument("--alignment", required=True)
+    p.add_argument("--out", required=True)
+    add_settings(p, "tau", "top_k")
     p.set_defaults(func=cmd_score_heads)
 
     p = sub.add_parser("smooth", help="smooth CSV signals (one per column)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    add_common(p)
+    add_settings(p, "cutoff_ratio", "mix_alpha")
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("allocate", help="turn head scores into a budget plan")
@@ -333,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_ratio, default=None)
     p.add_argument("--context-length", dest="context_length", type=_context_length, default=None)
     p.add_argument("--mode", default="combined", choices=[m.value for m in AllocationMode])
-    add_common(p, output=True)
+    p.add_argument("--out", required=True)
+    add_settings(p, "window", "base_fraction")
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("simulate", help="run one eviction policy on a trace")
@@ -346,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", default=None)
     p.add_argument("--plan", default=None)
     p.add_argument("--pool-width", dest="pool_width", type=_pool_width, default=7)
-    add_common(p, trace=True, output=True)
+    p.add_argument("--trace", required=True)
+    p.add_argument("--out", required=True)
+    add_settings(p, "window", "base_fraction", "cutoff_ratio", "mix_alpha")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="four-way ablation grid across ratios")
@@ -358,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated retention ratios in (0, 1]",
     )
     p.add_argument("--json", default=None, help="optional JSON mirror of the CSV")
-    add_common(p, trace=True, alignment=True, output=True)
+    p.add_argument("--trace", required=True)
+    p.add_argument("--alignment", required=True)
+    p.add_argument("--out", required=True)
+    add_settings(p, *_NUMBERS)
     p.set_defaults(func=cmd_compare)
 
     return parser

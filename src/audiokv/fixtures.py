@@ -16,7 +16,8 @@ Three profiles:
   equal.
 
 All randomness flows from the single seed, so identical seeds reproduce
-identical traces byte for byte.
+identical traces byte for byte. Each step is built as one float64
+[layers, heads, context] block and normalised to float32.
 """
 
 from __future__ import annotations
@@ -48,12 +49,24 @@ def _split_word_text(word: str, pieces: int) -> list[str]:
     return [c if c else " " for c in chunks]
 
 
-def _confidences(rng: np.random.Generator, count: int, low_count: int) -> np.ndarray:
+def _words(
+    rng: np.random.Generator, count: int, duration: float, low_count: int
+) -> list[WordAlignment]:
+    """`count` equal-length words over `duration` seconds; `low_count` of
+    them have confidence 0.90, below the default tau."""
     conf = rng.uniform(0.96, 0.995, size=count)
     if low_count:
         dips = rng.choice(count, size=min(low_count, count), replace=False)
         conf[dips] = 0.90
-    return conf
+    return [
+        WordAlignment(
+            text=f"word{w:02d}",
+            t_start=w * duration / count,
+            t_end=(w + 1) * duration / count,
+            confidence=float(conf[w]),
+        )
+        for w in range(count)
+    ]
 
 
 def _exponential_recent(length: int, gamma: float) -> np.ndarray:
@@ -81,6 +94,57 @@ def _plateau_profile(
     return profile
 
 
+def _planted_mask(layers: int, heads: int, planted) -> np.ndarray:
+    mask = np.zeros((layers, heads), dtype=bool)
+    mask[tuple(np.array(planted, dtype=int).reshape(-1, 2).T)] = True
+    return mask
+
+
+def _by_kind(is_planted: np.ndarray, on, off) -> np.ndarray:
+    """[layers, heads, n]: `on` for planted heads, `off` for the others.
+
+    The shorter vector is zero-padded on the left, so both end at position
+    n - 1; adding the padding's 0.0 leaves a value's bits unchanged.
+    """
+    width = max(len(on), len(off))
+    rows = np.zeros((*is_planted.shape, width))
+    rows[is_planted, width - len(on) :] = on
+    rows[~is_planted, width - len(off) :] = off
+    return rows
+
+
+def _block(base, prefix, audio, tail, context: int) -> np.ndarray:
+    """One step's unnormalised float64 [layers, heads, context] attention.
+
+    Every position starts at `base / context`. `prefix` is added to the
+    positions before the audio, `audio` to the audio tokens after them, and
+    `tail` to the last positions; the three regions are disjoint.
+    """
+    rows = np.repeat(base[..., None] / context, context, axis=-1)
+    a0, n_audio = prefix.shape[-1], audio.shape[-1]
+    rows[..., :a0] += prefix
+    rows[..., a0 : a0 + n_audio] += audio
+    rows[..., context - tail.shape[-1] :] += tail
+    return rows
+
+
+def _fixture(profile, seed, planted, words, steps_per_word, blocks, geometry) -> Fixture:
+    """Step t is block t normalised to float32, with piece t of the words
+    (each split `steps_per_word` ways) as its text.
+
+    `blocks` yields one float64 block per step, so only one is alive at a
+    time. `geometry` is (audio_start, num_audio_tokens, total_duration_s).
+    """
+    texts = [piece for word in words for piece in _split_word_text(word.text, steps_per_word)]
+    steps = tuple(
+        DecodingStep(t, texts[t], (rows / rows.sum(axis=-1, keepdims=True)).astype(np.float32))
+        for t, rows in enumerate(blocks)
+    )
+    layers, heads, _ = steps[0].attention.shape
+    trace = AttentionTrace(layers, heads, steps, *geometry)
+    return Fixture(profile, seed, trace, words, planted)
+
+
 SPIKE_PLATEAU_KNOBS = {
     "audio_share": 0.35,
     "peak_step_gain": 5.0,  # per-step spike height, in units of the plateau top
@@ -94,12 +158,12 @@ SPIKE_PLATEAU_KNOBS = {
 def _spike_plateau(seed: int) -> Fixture:
     rng = np.random.default_rng(seed)
     layers, heads = 2, 4
-    planted = ((0, 0), (1, 2))
+    planted = ((0, 0), (1, 2))  # in row-major order, the order of per-step draws
+    is_planted = _planted_mask(layers, heads, planted)
     num_words, steps_per_word = 24, 8
     n_audio, a0, n_post = 512, 4, 2
     duration = 9.6
     num_steps = num_words * steps_per_word
-    base_context = a0 + n_audio + n_post
 
     span_width = n_audio / num_words
     word_start = [a0 + int(np.floor(w * span_width)) for w in range(num_words)]
@@ -108,183 +172,106 @@ def _spike_plateau(seed: int) -> Fixture:
     knobs = SPIKE_PLATEAU_KNOBS
     unit = knobs["audio_share"] / n_audio * 2.0  # plateau-top value pre-normalization
     peak_value = knobs["peak_step_gain"] * unit
-    transcribed_decay = knobs["transcribed_decay"]
 
     observed_words = 32 // steps_per_word
     plateau_lo = word_stop[observed_words - 1] - a0
-    profiles = {
-        lh: _plateau_profile(rng, n_audio, knobs["plateau_coverage"], plateau_lo)
-        for lh in planted
-    }
-    trend = {lh: unit * profiles[lh] for lh in planted}
+    profiles = np.array(
+        [_plateau_profile(rng, n_audio, knobs["plateau_coverage"], plateau_lo) for _ in planted]
+    )
+    trend = unit * profiles
 
-    def draw_peaks(lh, w):
+    def draw_peaks(profile, w):
         # Transient mis-alignment spikes: prefer irrelevant (off-plateau) frames.
         span = np.arange(word_start[w] - a0, word_stop[w] - a0)
-        off = span[profiles[lh][span] < 0.5]
+        off = span[profile[span] < 0.5]
         pool = off if len(off) >= 4 else span
         return rng.choice(pool, size=4, replace=False)
 
-    peaks = {
-        (lh, w): a0 + draw_peaks(lh, w) for lh in planted for w in range(num_words)
-    }
-    # Local heads glance at the current word too, but re-aim every step, so
-    # their window-mean stays flat and only the per-step top-K sees it.
-    def draw_local_peaks(w):
-        in_span = word_start[w] + rng.choice(
-            word_stop[w] - word_start[w], size=2, replace=False
-        )
-        roaming = a0 + rng.choice(n_audio, size=3, replace=False)
-        return np.concatenate([in_span, roaming])
-
+    # [planted head, word, 4] audio-token offsets
+    peaks = np.array([[draw_peaks(p, w) for w in range(num_words)] for p in profiles])
     # Diffuse audio attention for local heads drifts slowly: one noise draw
     # per head per 32-step phase, so it shapes the window mean but carries no
     # information about later phases.
     num_phases = (num_steps + 31) // 32
-    local_drift = {
-        (layer, head): rng.uniform(-1.0, 1.0, size=(num_phases, n_audio))
-        for layer in range(layers)
-        for head in range(heads)
-        if (layer, head) not in planted
-    }
+    local = np.nonzero(~is_planted)  # (layers, heads) of the local heads
+    drift = rng.uniform(-1.0, 1.0, size=(len(local[0]), num_phases, n_audio))
+    words = _words(rng, num_words, duration, low_count=3)
 
-    conf = _confidences(rng, num_words, low_count=3)
-    words = [
-        WordAlignment(
-            text=f"word{w:02d}",
-            t_start=w * duration / num_words,
-            t_end=(w + 1) * duration / num_words,
-            confidence=float(conf[w]),
-        )
-        for w in range(num_words)
-    ]
-
-    texts = []
-    for w in range(num_words):
-        texts.extend(_split_word_text(words[w].text, steps_per_word))
-
-    steps = []
-    for t in range(num_steps):
-        current_word = t // steps_per_word
-        context = base_context + t
-        rows = np.empty((layers, heads, context), dtype=np.float64)
-        non_audio_tail = context - (a0 + n_audio)
-        for layer in range(layers):
-            for head in range(heads):
-                row = np.full(context, 0.01 / context)
-                if (layer, head) in planted:
-                    row[:a0] += np.array([0.0016, 0.0012, 0.0008, 0.0004])
-                    audio = trend[(layer, head)] * (
-                        1.0 + knobs["step_noise"] * rng.uniform(-1.0, 1.0, size=n_audio)
-                    )
-                    boundary = word_start[current_word] - a0
-                    audio[:boundary] *= transcribed_decay
-                    pk = peaks[((layer, head), current_word)] - a0
-                    audio[pk] = peak_value
-                    row[a0 : a0 + n_audio] += audio
-                    # recency starts with generated tokens, so the evictable
-                    # zone never inherits a lone hot boundary position
-                    recent_len = min(32, max(non_audio_tail - n_post, 0))
-                    if recent_len:
-                        row[context - recent_len :] += knobs[
-                            "recent_share"
-                        ] * _exponential_recent(recent_len, 0.8)
-                else:
-                    row[:a0] += np.array([0.0032, 0.0024, 0.0016, 0.0008])
-                    drift = local_drift[(layer, head)][t // 32]
-                    row[a0 : a0 + n_audio] += 0.02 * (1.0 + 0.5 * drift) / n_audio
-                    row[draw_local_peaks(current_word)] += 0.0045
-                    recent_len = min(32, non_audio_tail)
-                    row[context - recent_len :] += 0.45 * _exponential_recent(
-                        recent_len, 0.8
-                    )
-                rows[layer, head] = row / row.sum()
-        steps.append(
-            DecodingStep(
-                step_index=t,
-                generated_token_text=texts[t],
-                attention=rows.astype(np.float32),
-            )
-        )
-
-    trace = AttentionTrace(
-        num_layers=layers,
-        num_heads=heads,
-        steps=tuple(steps),
-        audio_start=a0,
-        num_audio_tokens=n_audio,
-        total_duration_s=duration,
+    base = np.full((layers, heads), 0.01)
+    prefix = _by_kind(
+        is_planted, [0.0016, 0.0012, 0.0008, 0.0004], [0.0032, 0.0024, 0.0016, 0.0008]
     )
-    return Fixture("spike-plateau", seed, trace, words, planted)
+
+    def blocks():
+        for t in range(num_steps):
+            w = t // steps_per_word
+            word_len = word_stop[w] - word_start[w]
+            # The step's draws, head by head in row-major order. Local heads
+            # glance at the current word too, but re-aim every step, so their
+            # window-mean stays flat and only the per-step top-K sees it.
+            noise, in_span, roaming = [], [], []
+            for planted_head in is_planted.flat:
+                if planted_head:
+                    noise.append(rng.uniform(-1.0, 1.0, size=n_audio))
+                else:
+                    in_span.append(rng.choice(word_len, size=2, replace=False))
+                    roaming.append(rng.choice(n_audio, size=3, replace=False))
+            glances = np.hstack([word_start[w] + np.array(in_span), a0 + np.array(roaming)])
+            audio = np.empty((layers, heads, n_audio))
+            audio[~is_planted] = 0.02 * (1.0 + 0.5 * drift[:, t // 32]) / n_audio
+            planted_audio = trend * (1.0 + knobs["step_noise"] * np.array(noise))
+            planted_audio[:, : word_start[w] - a0] *= knobs["transcribed_decay"]
+            planted_audio[np.arange(len(planted))[:, None], peaks[:, w]] = peak_value
+            audio[is_planted] = planted_audio
+            # recency of planted heads starts with generated tokens, so the
+            # evictable zone never inherits a lone hot boundary position
+            tail = _by_kind(
+                is_planted,
+                knobs["recent_share"] * _exponential_recent(min(32, t), 0.8),
+                0.45 * _exponential_recent(min(32, n_post + t), 0.8),
+            )
+            rows = _block(base, prefix, audio, tail, a0 + n_audio + n_post + t)
+            # buffered `+=`: a position glanced at twice gains 0.0045 once
+            rows[local[0][:, None], local[1][:, None], glances] += 0.0045
+            yield rows
+
+    return _fixture(
+        "spike-plateau", seed, planted, words, steps_per_word, blocks(), (a0, n_audio, duration)
+    )
 
 
 def _specialized_or_uniform(seed: int, uniform: bool) -> Fixture:
     rng = np.random.default_rng(seed)
     layers, heads = 2, 10
     planted = () if uniform else ((0, 0), (1, 5))
+    is_planted = _planted_mask(layers, heads, planted)
     num_words = 16
     span = 24
     n_audio, a0, n_post = num_words * span, 4, 2
     duration = 8.0
-    base_context = a0 + n_audio + n_post
 
-    conf = _confidences(rng, num_words, low_count=2)
-    words = [
-        WordAlignment(
-            text=f"word{w:02d}",
-            t_start=w * duration / num_words,
-            t_end=(w + 1) * duration / num_words,
-            confidence=float(conf[w]),
-        )
-        for w in range(num_words)
-    ]
+    words = _words(rng, num_words, duration, low_count=2)
     jitter = rng.uniform(0.0, 1e-4, size=(layers, heads))
+    base = np.where(is_planted, 0.04, 0.13 + jitter)
+    prefix = _by_kind(is_planted, [0.008, 0.006, 0.004, 0.002], [0.048, 0.036, 0.024, 0.012])
+    # Uniform heads all glance at the current word, each with its own slight
+    # wiggle; in specialized-heads only the planted heads lock onto it.
+    wiggle = 1.0 + 0.12 * (jitter * 1e4 - 0.5)
+    span_gain = 0.25 * wiggle / span if uniform else np.where(is_planted, 0.90 / span, 0.0)
 
-    steps = []
-    for t in range(num_words):
-        context = base_context + t
-        rows = np.empty((layers, heads, context), dtype=np.float64)
-        span_lo = a0 + t * span
-        non_audio_tail = context - (a0 + n_audio)
-        for layer in range(layers):
-            for head in range(heads):
-                if not uniform and (layer, head) in planted:
-                    row = np.full(context, 0.04 / context)
-                    row[:a0] += np.array([0.008, 0.006, 0.004, 0.002])
-                    row[span_lo : span_lo + span] += 0.90 / span
-                    recent_len = min(12, non_audio_tail)
-                    row[context - recent_len :] += 0.04 * _exponential_recent(
-                        recent_len, 0.7
-                    )
-                else:
-                    row = np.full(context, (0.13 + jitter[layer, head]) / context)
-                    row[:a0] += np.array([0.048, 0.036, 0.024, 0.012])
-                    if uniform:
-                        wiggle = 1.0 + 0.12 * (float(jitter[layer, head]) * 1e4 - 0.5)
-                        row[span_lo : span_lo + span] += 0.25 * wiggle / span
-                    recent_len = min(24, non_audio_tail)
-                    row[context - recent_len :] += 0.50 * _exponential_recent(
-                        recent_len, 0.8
-                    )
-                rows[layer, head] = row / row.sum()
-        steps.append(
-            DecodingStep(
-                step_index=t,
-                generated_token_text=" " + words[t].text,
-                attention=rows.astype(np.float32),
+    def blocks():
+        for t in range(num_words):
+            audio = np.zeros((layers, heads, n_audio))
+            audio[..., t * span : (t + 1) * span] = span_gain[..., None]
+            tail = _by_kind(
+                is_planted,
+                0.04 * _exponential_recent(min(12, n_post + t), 0.7),
+                0.50 * _exponential_recent(min(24, n_post + t), 0.8),
             )
-        )
+            yield _block(base, prefix, audio, tail, a0 + n_audio + n_post + t)
 
-    trace = AttentionTrace(
-        num_layers=layers,
-        num_heads=heads,
-        steps=tuple(steps),
-        audio_start=a0,
-        num_audio_tokens=n_audio,
-        total_duration_s=duration,
-    )
     profile = "uniform" if uniform else "specialized-heads"
-    return Fixture(profile, seed, trace, words, planted)
+    return _fixture(profile, seed, planted, words, 1, blocks(), (a0, n_audio, duration))
 
 
 def generate_fixture(profile: str, seed: int) -> Fixture:

@@ -186,18 +186,16 @@ def run_comparison(
     geom: KvGeometry = KvGeometry(),
     *,
     observation_width: int = 32,
-    horizon: int | None = None,
     recent: int = 32,
-    bins: int = DEFAULT_ENTROPY_BINS,
 ) -> list[RetentionReport]:
     """Replay the trace once per (policy, plan) pair, in the order given.
 
-    The first `observation_width` steps feed the policies; the held-out steps
-    (up to `horizon` of them) score the results. Pairs run one after another
-    and reports come back in input order. The window's scores are smoothed
-    and sorted once per distinct SSS config, and the held-out aggregate is
-    ranked once (`_descending_ranks`); every pair selects and scores its
-    oracle overlap against those.
+    The first `observation_width` steps feed the policies; every step after
+    them is held out to score the results. Pairs run one after another and
+    reports come back in input order. The window's scores are smoothed and
+    sorted once per distinct SSS config, and the held-out aggregate is ranked
+    once (`_descending_ranks`); every pair selects and scores its oracle
+    overlap against those.
     """
     if len(policies) != len(plans):
         raise ValueError("policies and plans must pair up one to one")
@@ -206,14 +204,10 @@ def run_comparison(
     obs_steps = min(observation_width, trace.num_steps - 1)
     if obs_steps < 1:
         raise HorizonError("trace too short to split into observation and future")
-    remaining = trace.num_steps - obs_steps - 1
-    horizon = remaining + 1 if horizon is None else min(horizon, remaining + 1)
-    if horizon < 1:
-        raise HorizonError("no future steps left for the requested horizon")
     obs_trace = trace.prefix(obs_steps)
     window = build_observation_window(obs_trace, obs_steps)
     context = obs_trace.final_context_length
-    future = aggregate_future_attention(trace, obs_steps - 1, horizon, context)
+    future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
     future_ranks = _descending_ranks(future.aggregated)
     rankings = {
         sss: rank_scores(window, sss, recent)
@@ -232,7 +226,7 @@ def run_comparison(
                 policy_name=policy.name,
                 retention_ratio=float(result.mask.mean()),
                 oracle_overlap=_overlap(result, future_ranks),
-                coverage_entropy=coverage_entropy(result, bins),
+                coverage_entropy=coverage_entropy(result),
                 mass_retained=retained_mass(result, future),
                 memory_bytes=memory_footprint(result, geom),
             )

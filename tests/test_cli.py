@@ -368,6 +368,13 @@ class TestSimulateCmd:
             {"window": None, "base": 0, "budget": 8, "mode": "uniform", "capacities": [[1]]},
             {"window": float("inf"), "base": 0, "budget": 8, "mode": "uniform", "capacities": [[1]]},
             {"window": 32, "base": 0, "budget": 8, "mode": "uniform", "capacities": [[1e308]]},
+            {
+                "window": 32,
+                "base": 0,
+                "budget": 400,
+                "mode": "uniform",
+                "capacities": [[100.5, 40, 40, 40], [40, 40, 40, 40]],
+            },
         ],
         ids=[
             "missing-capacities",
@@ -375,6 +382,7 @@ class TestSimulateCmd:
             "window-not-int",
             "window-infinite",
             "capacity-overflows",
+            "capacity-fractional",
         ],
     )
     def test_malformed_plan_file_exits_2(self, fixture_dir, tmp_path, capsys, payload):
@@ -725,3 +733,10 @@ class TestUsageErrors:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+    def test_setting_the_command_does_not_read_exits_2(self, fixture_dir, tmp_path, capsys):
+        # score-heads reads only tau and top_k; an SSS flag is a usage error.
+        code, scores_path = run_score(fixture_dir, tmp_path, extra=("--mix-alpha", "0.3"))
+        assert code == 2
+        assert "unrecognized arguments: --mix-alpha 0.3" in capsys.readouterr().err
+        assert not scores_path.exists()

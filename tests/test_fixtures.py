@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,48 @@ class TestDeterminism:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             generate_fixture("nope", 0)
+
+
+def fixture_digest(fixture):
+    """sha256 of every step's attention bytes and token text, the trace
+    geometry, the words and the planted heads."""
+    trace = fixture.trace
+    h = hashlib.sha256()
+    h.update(
+        repr(
+            (fixture.profile, fixture.seed, trace.num_layers, trace.num_heads,
+             trace.audio_start, trace.num_audio_tokens, trace.total_duration_s)
+        ).encode()
+    )
+    for step in trace.steps:
+        attention = step.attention
+        h.update(
+            repr((step.step_index, step.generated_token_text, attention.dtype.str,
+                  attention.shape)).encode()
+        )
+        h.update(attention.tobytes())
+    words = [[w.text, w.t_start, w.t_end, w.confidence] for w in fixture.words]
+    h.update(json.dumps(words).encode())
+    h.update(json.dumps(fixture.planted_heads).encode())
+    return h.hexdigest()
+
+
+# Any change to a step's float32 attention (a changed draw order, say), to a
+# token text or to the words moves these; every test and demo that reads a
+# fixture depends on them staying put.
+PINNED_DIGESTS = {
+    ("specialized-heads", 0): "6b47ddb4f65ba6508b5b0c44823cbd738fe16d7638cdd273d76270cd2d8c83c4",
+    ("specialized-heads", 7): "5baa263cd9e9054cfd9800a9e9d1ae35d9015d9f13170be76ac04e0ae4ff36ef",
+    ("spike-plateau", 0): "1174342625eee1922178b8f49503ea5ffe591c3d49a4d6bf4f861e70ccb1a56d",
+    ("spike-plateau", 7): "25d334d7ca52936c3b138478e4a59edb3d4c0ded25ce297ee42380060a572a04",
+    ("uniform", 0): "a1654d012043c1395c14d1c31eb66fd046b997f67f76ee9a6f5284cd67587cb9",
+    ("uniform", 7): "fcb311ba052543766541a1158bac919daec89f747661a6e695f5b10e1d7b2efd",
+}
+
+
+@pytest.mark.parametrize("profile, seed", sorted(PINNED_DIGESTS))
+def test_fixture_bytes_are_pinned(profile, seed):
+    assert fixture_digest(generate_fixture(profile, seed)) == PINNED_DIGESTS[profile, seed]
 
 
 class TestTraceValidity:
