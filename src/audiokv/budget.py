@@ -8,14 +8,13 @@ base to a score-proportional share of the remaining budget. `uniform` and
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError, read_json
+from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError, json_int, read_json
 from .heads import HeadScoreMatrix
 
 DEFAULT_PYRAMID_DECAY = 0.8
@@ -53,19 +52,10 @@ def resolve_base_tokens(budget: int, num_heads_total: int, base_fraction: float)
     return int(base_fraction * budget / num_heads_total)
 
 
-def _ranked_heads(scores: np.ndarray) -> np.ndarray:
-    """Flat head order by descending score, ties toward lower (layer, head)."""
-    flat = scores.reshape(-1)
-    return np.argsort(-flat, kind="stable")
-
-
-def _distribute_leftover(capacities: np.ndarray, leftover: int, scores: np.ndarray) -> None:
-    if leftover <= 0:
-        return
-    order = _ranked_heads(scores)
-    flat = capacities.reshape(-1)
-    flat += leftover // len(order)
-    flat[order[: leftover % len(order)]] += 1
+def _even_split(totals: np.ndarray | int, parts: int) -> np.ndarray:
+    """Each total split into `parts` integer shares along a new last axis; the
+    remainder goes one each to the first shares."""
+    return totals // parts + (np.arange(parts) < totals % parts)
 
 
 def allocate(
@@ -77,23 +67,23 @@ def allocate(
 ) -> BudgetPlan:
     """Turn head scores into integer per-head capacities.
 
-    combined:          cap = window + base + floor(score_budget * S / sum(S))
-                       with score_budget = budget - heads * (window + base).
-    uniform / pyramid: score-agnostic splits of the budget; a head's share
-                       below the window raises BudgetTooSmallError.
+    combined: cap = window + base + floor(score_budget * S / sum(S))
+              with score_budget = budget - heads * (window + base); the
+              rounding leftovers go one each to heads in descending score
+              order. A zero score sum falls back to equal scores.
+    uniform:  an even split of the budget, the remainder going one each to
+              the lowest-indexed heads.
+    pyramid:  `pyramid_schedule` layer totals, the rest of an uneven budget
+              going one each to the widest layers, each split evenly over
+              its heads in the same way.
 
-    Every mode spends exactly `budget`: rounding leftovers go one each to heads
-    in descending score order. A zero score sum falls back to a uniform split.
+    Every mode spends exactly `budget`; a head below the window raises
+    BudgetTooSmallError.
     """
     if window < 0 or base < 0:
         raise ValueError("window and base must be non-negative")
     layers, heads = scores.shape
     n = layers * heads
-    s = np.maximum(scores.scores.astype(np.float64), 0.0)
-    total_score = float(s.sum())
-    if total_score <= 0.0:
-        s = np.ones_like(s)
-        total_score = float(n)
 
     if mode is AllocationMode.COMBINED:
         floor_per_head = window + base
@@ -103,21 +93,24 @@ def allocate(
                 f"budget {budget} cannot cover window+base "
                 f"{floor_per_head} for all {n} heads"
             )
+        s = np.maximum(scores.scores.astype(np.float64), 0.0).reshape(-1)
+        total_score = float(s.sum())
+        if total_score <= 0.0:
+            s = np.ones_like(s)
+            total_score = float(n)
         shares = np.floor(score_budget * s / total_score).astype(np.int64)
-        capacities = floor_per_head + shares
-        _distribute_leftover(capacities, score_budget - int(shares.sum()), s)
+        leftover = max(score_budget - int(shares.sum()), 0)
+        # Ties in score go to the lower (layer, head).
+        shares[np.argsort(-s, kind="stable")] += _even_split(leftover, n)
+        capacities = (floor_per_head + shares).reshape(layers, heads)
     elif mode is AllocationMode.UNIFORM:
-        capacities = np.full((layers, heads), budget // n, dtype=np.int64)
-        _distribute_leftover(capacities, budget - n * (budget // n), np.zeros_like(s))
+        capacities = _even_split(budget, n).reshape(layers, heads)
     elif mode is AllocationMode.PYRAMID:
         if budget < layers:
             raise BudgetTooSmallError(f"pyramid budget {budget} < one slot per layer ({layers})")
-        layer_totals = np.array(
-            pyramid_schedule(layers, budget // layers, DEFAULT_PYRAMID_DECAY), dtype=np.int64
-        )[:, None]
-        layer_totals[: budget % layers] += 1  # an uneven budget's rest goes to the widest layers
-        per_head = layer_totals // heads
-        capacities = per_head + (np.arange(heads) < layer_totals - per_head * heads)
+        schedule = pyramid_schedule(layers, budget // layers, DEFAULT_PYRAMID_DECAY)
+        layer_totals = np.array(schedule, dtype=np.int64) + _even_split(budget % layers, layers)
+        capacities = _even_split(layer_totals[:, None], heads)
     else:
         raise ValueError(f"unknown allocation mode: {mode}")
     if capacities.min() < window:
@@ -168,8 +161,10 @@ def save_plan(plan: BudgetPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> BudgetPlan:
-    """Read a plan file back. Capacities must be JSON integers: a fractional
-    (or float-valued) capacity is a FormatError, not truncated."""
+    """Read a plan file back. Capacities, window, base and budget must be JSON
+    integers: a fractional (or float-valued) one is a FormatError, not
+    truncated. The budget must equal the capacities' sum, and the mode must
+    name an AllocationMode."""
     payload = read_json(path)
     try:
         capacities = np.asarray(payload["capacities"])
@@ -178,13 +173,15 @@ def load_plan(path: str | Path) -> BudgetPlan:
         capacities = capacities.astype(np.int64)
         plan = BudgetPlan(
             capacities=capacities,
-            window=int(payload["window"]),
-            base=int(payload["base"]),
-            global_budget=int(payload["budget"]),
-            mode=str(payload["mode"]),
+            window=json_int(payload["window"], "window"),
+            base=json_int(payload["base"], "base"),
+            global_budget=json_int(payload["budget"], "budget"),
+            mode=AllocationMode(payload["mode"]).value,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad plan file: {exc!r}") from exc
     if capacities.ndim != 2:
         raise DimensionMismatchError(f"{path}: capacities must be a 2-D matrix")
+    if plan.total != plan.global_budget:
+        raise FormatError(f"{path}: budget {plan.global_budget} != capacities' sum {plan.total}")
     return plan

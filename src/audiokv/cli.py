@@ -103,7 +103,7 @@ def _check_config(cfg: RunConfig) -> RunConfig:
         raise AudioKvError(f"retention_ratios must be a non-empty list of numbers, got {ratios!r}")
     try:
         return replace(cfg, retention_ratios=tuple(map(_ratio, ratios)))
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, OverflowError) as exc:
         raise AudioKvError(f"retention_ratios: {exc}") from exc
 
 
@@ -183,6 +183,8 @@ def cmd_smooth(args: argparse.Namespace) -> int:
         table = np.loadtxt(args.input, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise AudioKvError(f"cannot parse {args.input}: {exc}") from exc
+    if table.size == 0:
+        raise AudioKvError(f"{args.input}: no values to smooth")
     if not np.all(np.isfinite(table)):
         raise AudioKvError(f"{args.input}: values must be finite")
     smoothed = smooth_rows(table.T, cfg.sss()).T

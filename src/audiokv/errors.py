@@ -1,5 +1,5 @@
-"""Exception types raised by the audiokv library, and the JSON reader that
-raises them for a file that is not JSON."""
+"""Exception types raised by the audiokv library, the JSON reader that
+raises them for a file that is not JSON, and the check on JSON integers."""
 
 import json
 from pathlib import Path
@@ -47,3 +47,14 @@ def read_json(path: str | Path) -> object:
         return json.loads(Path(path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not a JSON file: {type(exc).__name__}: {exc}") from exc
+
+
+def json_int(value: object, name: str) -> int:
+    """`value` if it is a JSON integer, else a ValueError naming the field.
+
+    A float is not an integer, even an integral one such as 1e3, and
+    neither is a bool.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -13,15 +13,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import AllocationMode, BudgetPlan
-from .errors import CapacityBelowRecentError, DimensionMismatchError, FormatError, read_json
+from .errors import (
+    CapacityBelowRecentError,
+    DimensionMismatchError,
+    FormatError,
+    json_int,
+    read_json,
+)
 from .spectral import SssConfig, smooth_rows
-from .trace import AttentionTrace
+from .trace import AttentionTrace, DecodingStep
 
 DEFAULT_RECENT = 32
 DEFAULT_POOL_WIDTH = 7
@@ -80,15 +86,21 @@ def build_observation_window(trace: AttentionTrace, width: int) -> ObservationWi
     if width < 1:
         raise ValueError("width must be >= 1")
     width = min(width, trace.num_steps)
-    return ObservationWindow(width=width, aggregated=_summed_attention(trace, width) / width)
+    summed = summed_attention(trace.steps[-width:], trace.final_context_length)
+    return ObservationWindow(width=width, aggregated=summed / width)
 
 
-def _summed_attention(trace: AttentionTrace, width: int) -> np.ndarray:
-    """Sum of the last `width` steps' rows, zero-padded to the final context."""
-    context = trace.final_context_length
-    acc = np.zeros((trace.num_layers, trace.num_heads, context), dtype=np.float64)
-    for step in trace.steps[-width:]:
-        acc[:, :, : step.context_length] += step.attention
+def summed_attention(steps: Sequence[DecodingStep], context: int) -> np.ndarray:
+    """The float64 [layers, heads, context] sum of the steps' attention rows.
+
+    Each step adds its first `min(step.context_length, context)` positions:
+    a shorter step is zero-padded, a longer one cut at `context`.
+    """
+    layers, heads = steps[0].attention.shape[:2]
+    acc = np.zeros((layers, heads, context), dtype=np.float64)
+    for step in steps:
+        width = min(step.context_length, context)
+        acc[:, :, :width] += step.attention[:, :, :width]
     return acc
 
 
@@ -248,7 +260,7 @@ def select_h2o(
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
     """Heavy-hitter retention: attention mass accumulated over every step."""
-    scores = _summed_attention(trace, trace.num_steps)
+    scores = summed_attention(trace.steps, trace.final_context_length)
     return EvictionResult("h2o", _retain(scores, capacity_per_head, recent))
 
 
@@ -368,12 +380,14 @@ def save_result(result: EvictionResult, path: str | Path) -> None:
 def load_result(path: str | Path) -> EvictionResult:
     """Read a result file back; the plan summary is not reconstructed.
 
-    Every layer must list the same number of heads, and every head's indices
-    must be strictly increasing and lie in [0, context_length).
+    `context_length` must be a JSON integer. Every layer must list the same
+    number of heads, and every head's indices must be strictly increasing and
+    lie in [0, context_length).
     """
     try:
         payload = read_json(path)
-        policy, context = str(payload["policy"]), int(payload["context_length"])
+        policy = str(payload["policy"])
+        context = json_int(payload["context_length"], "context_length")
         rows = [[np.asarray(kept) for kept in layer] for layer in payload["retained"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad result file: {exc!r}") from exc
@@ -387,6 +401,9 @@ def load_result(path: str | Path) -> EvictionResult:
     unsorted = np.diff(index)[head_of[1:] == head_of[:-1]] <= 0
     if context < 0 or np.any(index < 0) or np.any(index >= context) or np.any(unsorted):
         raise FormatError(f"{path}: head indices must increase strictly within [0, {context})")
-    mask = np.zeros((len(per_head), context), dtype=bool)
+    try:
+        mask = np.zeros((len(per_head), context), dtype=bool)
+    except MemoryError as exc:
+        raise FormatError(f"{path}: context_length {context} is too large to hold") from exc
     mask[head_of, index] = True
     return EvictionResult(policy, mask.reshape(len(rows), len(rows[0]), context))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, read_json
+from .errors import DimensionMismatchError, FormatError, json_int, read_json
 from .trace import AttentionTrace, WordAlignment, WordStepMap, word_to_audio_span
 
 DEFAULT_TOP_K = 24
@@ -102,14 +102,17 @@ def save_scores(matrix: HeadScoreMatrix, path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> HeadScoreMatrix:
-    """Read a head-score file; every score must be a number in [0, 1]."""
+    """Read a head-score file; every score must be a number in [0, 1], and the
+    header fields JSON integers, `num_samples` >= 0."""
     payload = read_json(path)
     try:
         scores = np.asarray(payload["scores"], dtype=np.float64)
-        header = (int(payload["num_layers"]), int(payload["num_heads"]))
-        num_samples = int(payload["num_samples"])
+        header = tuple(json_int(payload[key], key) for key in ("num_layers", "num_heads"))
+        num_samples = json_int(payload["num_samples"], "num_samples")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad head-score file: {exc!r}") from exc
+    if num_samples < 0:
+        raise FormatError(f"{path}: num_samples must be >= 0, got {num_samples}")
     if scores.shape != header:
         raise DimensionMismatchError(
             f"{path}: scores shaped {scores.shape}, header says {header}"

@@ -28,6 +28,7 @@ from .eviction import (
     build_observation_window,
     rank_scores,
     select,
+    summed_attention,
 )
 from .spectral import SssConfig
 from .trace import AttentionTrace
@@ -85,9 +86,7 @@ def aggregate_future_attention(
     future = trace.steps[eviction_step + 1 : eviction_step + 1 + horizon]
     if not future:
         raise HorizonError(f"no decoding steps remain after step {eviction_step}")
-    acc = np.zeros((trace.num_layers, trace.num_heads, context_length), dtype=np.float64)
-    for step in future:
-        acc += step.attention[:, :, :context_length]
+    acc = summed_attention(future, context_length)
     acc /= len(future)
     return ObservationWindow(width=len(future), aggregated=acc)
 
@@ -234,41 +233,35 @@ def run_comparison(
     return reports
 
 
-REPORT_COLUMNS = ("policy", "ratio", "overlap", "mass", "entropy", "bytes")
+# Report column name -> the RetentionReport field it shows, in column order.
+REPORT_COLUMNS = {
+    "policy": "policy_name",
+    "ratio": "retention_ratio",
+    "overlap": "oracle_overlap",
+    "mass": "mass_retained",
+    "entropy": "coverage_entropy",
+    "bytes": "memory_bytes",
+}
+
+
+def _report_rows(reports: list[RetentionReport]) -> list[dict]:
+    return [{name: getattr(r, field) for name, field in REPORT_COLUMNS.items()} for r in reports]
 
 
 def reports_to_csv(reports: list[RetentionReport]) -> str:
+    """The report as CSV, floats written with `%.10g`."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        writer.writerow(
-            [
-                r.policy_name,
-                f"{r.retention_ratio:.10g}",
-                f"{r.oracle_overlap:.10g}",
-                f"{r.mass_retained:.10g}",
-                f"{r.coverage_entropy:.10g}",
-                r.memory_bytes,
-            ]
-        )
+    for row in _report_rows(reports):
+        writer.writerow(f"{v:.10g}" if isinstance(v, float) else v for v in row.values())
     return buffer.getvalue()
 
 
 def write_reports(
     reports: list[RetentionReport], csv_path: str | Path, json_path: str | Path | None = None
 ) -> None:
+    """Write the CSV report and, if `json_path` is given, its JSON mirror of the same rows."""
     Path(csv_path).write_text(reports_to_csv(reports))
     if json_path is not None:
-        payload = [
-            {
-                "policy": r.policy_name,
-                "ratio": r.retention_ratio,
-                "overlap": r.oracle_overlap,
-                "mass": r.mass_retained,
-                "entropy": r.coverage_entropy,
-                "bytes": r.memory_bytes,
-            }
-            for r in reports
-        ]
-        Path(json_path).write_text(json.dumps(payload, indent=1))
+        Path(json_path).write_text(json.dumps(_report_rows(reports), indent=1))

@@ -80,12 +80,12 @@ def smooth_rows(signals: np.ndarray, config: SssConfig) -> np.ndarray:
     """Smooth every signal along the last axis at once:
     (1-alpha)*x + alpha*irfft(rfft(x)*mask)."""
     x = np.asarray(signals, dtype=np.float64)
-    if config.mix_alpha == 0.0:
-        return x.copy()
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError("signals must have a non-empty last axis")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal values must be finite")
+    if config.mix_alpha == 0.0:
+        return x.copy()
     bins = np.fft.rfft(x)
     num_bins = bins.shape[-1]
     transition = (

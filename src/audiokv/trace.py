@@ -15,6 +15,7 @@ part of the binary record; they ride in an optional sidecar JSON
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import mmap
@@ -124,6 +125,9 @@ def validate_trace(trace: AttentionTrace) -> None:
     """Check every structural invariant; raise Format/IntegrityError if broken."""
     if trace.num_layers < 1 or trace.num_heads < 1 or trace.num_steps < 1:
         raise FormatError("trace must have at least one layer, head, and step")
+    # Written as a negation so a NaN duration, which compares false, fails too.
+    if not 0.0 <= trace.total_duration_s < math.inf:
+        raise FormatError(f"duration must be finite and >= 0, got {trace.total_duration_s}")
     prev_context = 0
     prev_step_index = -1
     for position, step in enumerate(trace.steps):
@@ -223,6 +227,10 @@ def load_trace(path: str | Path) -> AttentionTrace:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != TRACE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    # Every step takes at least its u32 context length, so a count the file
+    # cannot hold is caught before one text per step is made.
+    if num_steps > (len(data) - _HEADER.size) // _U32.size:
+        raise FormatError(f"{path}: truncated: {num_steps} steps in {len(data)} bytes")
     texts = _load_sidecar(path, num_steps)
     offset = _HEADER.size
     steps = []
@@ -232,6 +240,8 @@ def load_trace(path: str | Path) -> AttentionTrace:
         (context,) = _U32.unpack_from(data, offset)
         offset += _U32.size
         count = layers * heads * context
+        if count == 0:  # numpy cannot shape an empty block with very large sides
+            raise FormatError(f"{path}: step {index} is empty ({layers}x{heads}x{context})")
         end = offset + 4 * count
         if end > len(data):
             raise FormatError(f"{path}: truncated attention block at step {index}")
@@ -289,7 +299,7 @@ def load_alignment(path: str | Path) -> list[WordAlignment]:
                 t_end=float(item["end"]),
                 confidence=float(item["score"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad alignment record {i}: {exc}") from exc
         # NaN fails every comparison, so the chain rejects it too.
         if not 0.0 <= word.t_start <= word.t_end < math.inf:
@@ -355,30 +365,18 @@ def align_generated_to_words(
     belongs to the generated word containing its first non-space character,
     so sub-word tokens straddling a boundary go to the earlier word.
     """
-    pieces = []
-    first_char_positions: list[int | None] = []
-    position = 0
-    for step in steps:
-        norm = _normalize_text(step.generated_token_text)
-        first = None
-        for k, ch in enumerate(norm):
-            if not ch.isspace():
-                first = position + k
-                break
-        pieces.append(norm)
-        first_char_positions.append(first)
-        position += len(norm)
-    text = "".join(pieces)
-
-    generated = [(m.start(), m.end(), m.group()) for m in re.finditer(r"\S+", text)]
+    pieces = [_normalize_text(step.generated_token_text) for step in steps]
+    generated = list(re.finditer(r"\S+", "".join(pieces)))
+    starts = [m.start() for m in generated]
     steps_per_word: list[set[int]] = [set() for _ in generated]
-    for step_pos, first in enumerate(first_char_positions):
-        if first is None:
-            continue
-        for g, (start, end, _) in enumerate(generated):
-            if start <= first < end:
-                steps_per_word[g].add(steps[step_pos].step_index)
-                break
+    position = 0
+    for step, piece in zip(steps, pieces):
+        first = re.search(r"\S", piece)
+        if first is not None:
+            # The owning word is the last one starting at or before that character.
+            owner = bisect.bisect_right(starts, position + first.start()) - 1
+            steps_per_word[owner].add(step.step_index)
+        position += len(piece)
 
     entries = []
     cursor = 0
@@ -387,7 +385,7 @@ def align_generated_to_words(
         if not target:
             continue
         for g in range(cursor, len(generated)):
-            if generated[g][2] == target:
+            if generated[g].group() == target:
                 if steps_per_word[g]:
                     entries.append((word_index, frozenset(steps_per_word[g])))
                 cursor = g + 1

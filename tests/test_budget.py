@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,41 @@ def test_allocate_spends_the_budget_above_the_window(case):
     if mode is AllocationMode.COMBINED:
         s, c = matrix.scores.reshape(-1), plan.capacities.reshape(-1)
         assert np.all(c[:, None] >= c[None, :], where=s[:, None] > s[None, :])
+
+
+def test_capacities_on_a_fixed_grid_are_pinned():
+    # Every mode on every shape from 1x1 to 8x8, under even, uneven and
+    # too-small budgets (pyramid budgets with `budget % layers != 0`
+    # included), two windows and two bases, and three score matrices: scores
+    # with ties, distinct scores and all-zero scores. The digest was taken
+    # from `allocate` as it stood when it handed out uniform remainders in
+    # the order of an argsort of zero scores.
+    rng = np.random.default_rng(13)
+    digest = hashlib.sha256()
+    for layers in range(1, 9):
+        for heads in range(1, 9):
+            n = layers * heads
+            score_sets = (
+                rng.integers(0, 4, (layers, heads)) / 4,
+                rng.random((layers, heads)),
+                np.zeros((layers, heads)),
+            )
+            for values in score_sets:
+                for budget in (0, n, 7 * n + 3, 40 * n + layers - 1, 997, 5003):
+                    for window in (0, 5):
+                        for base in (0, 2):
+                            for mode in AllocationMode:
+                                case = f"{mode.value} {layers} {heads} {budget} {window} {base}:"
+                                digest.update(case.encode())
+                                try:
+                                    plan = allocate(scores_of(values), budget, window, base, mode)
+                                except BudgetTooSmallError:
+                                    digest.update(b"too small;")
+                                else:
+                                    digest.update(plan.capacities.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "178d04b42d5446431af1582d0a990a75ecbff7ba309ec0a36d7ee607172e006c"
+    )
 
 
 class TestPyramidSchedule:

@@ -97,8 +97,8 @@ class TestScoreHeads:
 
     @pytest.mark.parametrize(
         "start,end",
-        [(float("nan"), 1.0), (0.5, float("inf")), (-1.0, 1.0), (2.0, 1.0)],
-        ids=["nan", "inf", "negative", "start-after-end"],
+        [(float("nan"), 1.0), (0.5, float("inf")), (-1.0, 1.0), (2.0, 1.0), (10**400, 1.0)],
+        ids=["nan", "inf", "negative", "start-after-end", "start-overflows"],
     )
     def test_bad_alignment_times_exit_2(self, fixture_dir, tmp_path, capsys, start, end):
         words = json.loads((fixture_dir / "alignment.json").read_text())
@@ -154,6 +154,17 @@ class TestSmooth:
         expected = smooth_rows(signal, SssConfig(cutoff_ratio=0.7, mix_alpha=0.5))
         assert np.max(np.abs(out - expected)) < 1e-9
 
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.parametrize("content", ["", "\n"], ids=["empty", "one-newline"])
+    @pytest.mark.parametrize("alpha", ["0", "0.5"])
+    def test_empty_input_exits_2(self, tmp_path, capsys, content, alpha):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(content)
+        code = main(["smooth", "--input", str(src), "--output", str(dst), "--mix-alpha", alpha])
+        assert code == 2
+        assert "no values to smooth" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_parse_error_exits_2(self, tmp_path):
         src = tmp_path / "bad.csv"
         src.write_text("1.0\nnot-a-number\n")
@@ -195,6 +206,10 @@ class TestAllocateCmd:
             {"num_layers": "one", "num_heads": 2, "num_samples": 3, "scores": [[0.1, 0.2]]},
             [[0.1, 0.2]],
             {"num_layers": 1, "num_heads": 2, "num_samples": float("inf"), "scores": [[0.1, 0.2]]},
+            {"num_layers": 2.9, "num_heads": 2, "num_samples": 3, "scores": [[0.1, 0.2]] * 2},
+            {"num_layers": 1, "num_heads": 2, "num_samples": -4.5, "scores": [[0.1, 0.2]]},
+            {"num_layers": 1, "num_heads": 2, "num_samples": -4, "scores": [[0.1, 0.2]]},
+            {"num_layers": True, "num_heads": 2, "num_samples": 3, "scores": [[0.1, 0.2]]},
         ],
         ids=[
             "missing-scores",
@@ -202,6 +217,10 @@ class TestAllocateCmd:
             "layers-not-int",
             "not-an-object",
             "samples-infinite",
+            "layers-fractional",
+            "samples-fractional",
+            "samples-negative",
+            "layers-bool",
         ],
     )
     def test_malformed_scores_file_exits_2(self, tmp_path, capsys, payload):
@@ -353,6 +372,10 @@ class TestSimulateCmd:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # A plan `simulate --plan` runs on the 2x4-head fixture; each malformed
+    # case below breaks one field of it.
+    PLAN = {"window": 32, "base": 0, "budget": 400, "mode": "uniform", "capacities": [[50] * 4] * 2}
+
     @pytest.mark.parametrize("width", ["0", "-1", "2", "10000"])
     def test_bad_pool_width_exits_2(self, fixture_dir, tmp_path, capsys, width):
         out = tmp_path / "r.json"
@@ -375,6 +398,12 @@ class TestSimulateCmd:
                 "mode": "uniform",
                 "capacities": [[100.5, 40, 40, 40], [40, 40, 40, 40]],
             },
+            {**PLAN, "window": 2.5},
+            {**PLAN, "base": 0.9},
+            {**PLAN, "budget": 4e2},
+            {**PLAN, "window": True},
+            {**PLAN, "budget": 401},
+            {**PLAN, "mode": 5},
         ],
         ids=[
             "missing-capacities",
@@ -383,6 +412,12 @@ class TestSimulateCmd:
             "window-infinite",
             "capacity-overflows",
             "capacity-fractional",
+            "window-fractional",
+            "base-fractional",
+            "budget-float",
+            "window-bool",
+            "budget-not-the-capacities-sum",
+            "mode-unknown",
         ],
     )
     def test_malformed_plan_file_exits_2(self, fixture_dir, tmp_path, capsys, payload):
@@ -527,6 +562,7 @@ class TestCompareCmd:
             (None, ["--cutoff-ratio", "2"]),
             (None, ["--mix-alpha", "-1"]),
             (None, ["--base-fraction", "1.5"]),
+            ({"retention_ratios": [10**400]}, []),
         ],
     )
     def test_bad_run_setting_exits_2(self, fixture_dir, tmp_path, capsys, config, flags):

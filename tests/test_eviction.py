@@ -368,6 +368,8 @@ class TestResultIo:
             {"policy": "p", "context_length": 4, "retained": [[[0, 1.5]]]},
             {"policy": "p", "context_length": 4, "retained": []},
             {"policy": "p", "context_length": float("inf"), "retained": [[[0]]]},
+            {"policy": "p", "context_length": 5.7, "retained": [[[0, 4]]]},
+            {"policy": "p", "context_length": True, "retained": [[[0]]]},
         ],
         ids=[
             "missing-retained",
@@ -383,6 +385,8 @@ class TestResultIo:
             "index-not-integral",
             "no-layers",
             "context-infinite",
+            "context-fractional",
+            "context-bool",
         ],
     )
     def test_malformed_file_raises_format_error(self, tmp_path, payload):

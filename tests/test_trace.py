@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import align_oracle
 from audiokv.errors import DegenerateSpanError, FormatError, IntegrityError
 from audiokv.trace import (
     AttentionTrace,
@@ -89,6 +90,13 @@ class TestTraceIo:
         assert (tmp_path / "t.akvt.tokens.json").exists()
         loaded = load_trace(path)
         assert [s.generated_token_text for s in loaded.steps] == ["hel", "lo"]
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_bad_duration_raises_format_error(self, tmp_path, duration):
+        path = tmp_path / "t.akvt"
+        write_trace(make_trace(duration=duration), path)
+        with pytest.raises(FormatError, match="duration must be finite"):
+            load_trace(path)
 
     def test_bad_row_sum_raises_integrity_error(self, tmp_path):
         path = tmp_path / "bad.akvt"
@@ -307,3 +315,23 @@ class TestAlignGeneratedToWords:
             words_from_texts(["hello", "worldgoodbye"]),
         )
         assert dict(mapping.entries) == {0: frozenset({0}), 1: frozenset({1, 2})}
+
+
+# Step texts and words drawn from a small alphabet, so that generated words
+# repeat, straddle step boundaries and match alignment words often. It holds
+# whitespace the normalizer keeps (including non-ASCII spaces), punctuation
+# it drops, letters whose case folding changes their length, and non-ASCII
+# letters.
+ALIGN_ALPHABET = "ab \t\n\u00a0\u3000.,!'-AB\u00dfé\u0130ﬁ7"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    texts=st.lists(st.text(ALIGN_ALPHABET, max_size=6), max_size=12),
+    words=st.lists(st.text(ALIGN_ALPHABET, max_size=5), max_size=10),
+)
+def test_alignment_matches_the_character_loop_oracle(texts, words):
+    steps, aligned = steps_from_texts(texts), words_from_texts(words)
+    assert align_generated_to_words(steps, aligned) == align_oracle.align_generated_to_words(
+        steps, aligned
+    )
