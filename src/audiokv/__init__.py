@@ -69,6 +69,7 @@ from .trace import (
     filter_words,
     load_alignment,
     load_trace,
+    map_trace,
     validate_trace,
     word_to_audio_span,
     write_alignment,

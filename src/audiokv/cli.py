@@ -24,7 +24,7 @@ from .budget import (
     save_plan,
 )
 from .errors import AudioKvError, read_json
-from .eviction import POLICIES, build_observation_window, save_result, select
+from .eviction import POLICIES, ObservationWindow, save_result, select
 from .fixtures import PROFILES, generate_fixture
 from .heads import HeadScoreMatrix, TopKConfig, load_scores, save_scores, score_heads
 from .metrics import COMPARE_GRID, KvGeometry, PolicySpec, run_comparison, write_reports
@@ -34,6 +34,8 @@ from .trace import (
     filter_words,
     load_alignment,
     load_trace,
+    map_trace,
+    validate_trace,
     write_alignment,
     write_trace,
 )
@@ -69,13 +71,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return _check_config(replace(RunConfig(), **values))
 
 
+# A trace stores its step count and context lengths as u32, so no trace
+# needs a larger top-k or window; a larger value would only overflow later.
+_MAX_COUNT = 2**32 - 1
+
 # The numeric RunConfig fields: integer or not, and the range their consumers
 # (`filter_words`, `TopKConfig`, `build_observation_window`,
 # `resolve_base_tokens`, `SssConfig`) accept.
 _NUMBERS = {
     "tau": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "top_k": (True, ">= 1", lambda v: v >= 1),
-    "window": (True, ">= 1", lambda v: v >= 1),
+    "top_k": (True, f"in [1, {_MAX_COUNT}]", lambda v: 1 <= v <= _MAX_COUNT),
+    "window": (True, f"in [1, {_MAX_COUNT}]", lambda v: 1 <= v <= _MAX_COUNT),
     "base_fraction": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "cutoff_ratio": (False, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "mix_alpha": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
@@ -223,12 +229,19 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Select one policy's retained entries from the trace's observation window.
+
+    The window is the first `min(window, steps)` steps. One pass over the
+    mapped trace validates every step, those after the window too, and sums
+    the window's steps as it goes; an error names the first bad step.
+    """
     cfg = _config_from_args(args)
     policy = POLICIES[args.policy]
-    trace = load_trace(args.trace)
+    trace = map_trace(args.trace)
     obs_steps = min(cfg.window, trace.num_steps)
+    (summed,) = validate_trace(trace, [(0, obs_steps)])
+    window = ObservationWindow.mean_of(summed, obs_steps)
     obs_trace = trace.prefix(obs_steps)
-    window = build_observation_window(obs_trace, obs_steps)
     context = window.context_length
     n = trace.num_layers * trace.num_heads
 

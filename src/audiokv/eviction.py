@@ -27,7 +27,7 @@ from .errors import (
     read_json,
 )
 from .spectral import SssConfig, smooth_rows
-from .trace import AttentionTrace, DecodingStep
+from .trace import AttentionTrace, DecodingStep, StepSum
 
 DEFAULT_RECENT = 32
 DEFAULT_POOL_WIDTH = 7
@@ -47,6 +47,15 @@ class ObservationWindow:
     @property
     def shape(self) -> tuple[int, int]:
         return self.aggregated.shape[:2]
+
+    @classmethod
+    def mean_of(cls, summed: np.ndarray, width: int) -> "ObservationWindow":
+        """The window whose `width` steps' rows sum to `summed`.
+
+        `summed` is divided in place and becomes the window's `aggregated`.
+        """
+        summed /= width
+        return cls(width=width, aggregated=summed)
 
 
 @dataclass(frozen=True)
@@ -87,21 +96,23 @@ def build_observation_window(trace: AttentionTrace, width: int) -> ObservationWi
         raise ValueError("width must be >= 1")
     width = min(width, trace.num_steps)
     summed = summed_attention(trace.steps[-width:], trace.final_context_length)
-    return ObservationWindow(width=width, aggregated=summed / width)
+    return ObservationWindow.mean_of(summed, width)
 
 
 def summed_attention(steps: Sequence[DecodingStep], context: int) -> np.ndarray:
     """The float64 [layers, heads, context] sum of the steps' attention rows.
 
     Each step adds its first `min(step.context_length, context)` positions:
-    a shorter step is zero-padded, a longer one cut at `context`.
+    a shorter step is zero-padded, a longer one cut at `context`. Steps
+    narrower than the context go through one contiguous buffer (`StepSum`);
+    `simulate` gets its window's sum from `validate_trace` instead, in the
+    pass that validates the trace.
     """
     layers, heads = steps[0].attention.shape[:2]
-    acc = np.zeros((layers, heads, context), dtype=np.float64)
+    summed = StepSum(layers, heads, context)
     for step in steps:
-        width = min(step.context_length, context)
-        acc[:, :, :width] += step.attention[:, :, :width]
-    return acc
+        summed.add(step.attention)
+    return summed.total
 
 
 def topk_mask(scores: np.ndarray, k: np.ndarray, ranked: np.ndarray | None = None) -> np.ndarray:

@@ -86,9 +86,7 @@ def aggregate_future_attention(
     future = trace.steps[eviction_step + 1 : eviction_step + 1 + horizon]
     if not future:
         raise HorizonError(f"no decoding steps remain after step {eviction_step}")
-    acc = summed_attention(future, context_length)
-    acc /= len(future)
-    return ObservationWindow(width=len(future), aggregated=acc)
+    return ObservationWindow.mean_of(summed_attention(future, context_length), len(future))
 
 
 def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) -> float:

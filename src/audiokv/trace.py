@@ -25,10 +25,11 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSpanError, FormatError, IntegrityError, read_json
+from .errors import AudioKvError, DegenerateSpanError, FormatError, IntegrityError, read_json
 
 TRACE_MAGIC = b"AKVT"
 TRACE_VERSION = 1
@@ -121,42 +122,94 @@ class WordStepMap:
         return len(self.entries)
 
 
-def validate_trace(trace: AttentionTrace) -> None:
-    """Check every structural invariant; raise Format/IntegrityError if broken."""
+class StepSum:
+    """The float64 [layers, heads, context] sum of attention steps added one by one.
+
+    Each step adds its first `min(width, context)` positions: a narrower
+    step is zero-padded, a wider one cut at `context`. A narrower step is
+    first copied into one contiguous float64 buffer whose tail past the
+    step's width is zero, so the sum is a contiguous add instead of a write
+    through a strided view of the sum; the tail is re-zeroed if a later
+    step is narrower than the last. A step at least as wide as the context
+    is added straight from its own rows.
+    """
+
+    def __init__(self, layers: int, heads: int, context: int) -> None:
+        self.total = np.zeros((layers, heads, context), dtype=np.float64)
+        self._buffer: np.ndarray | None = None
+        self._filled = 0  # leading buffer positions that may be nonzero
+
+    def add(self, attention: np.ndarray) -> np.ndarray | None:
+        """Add one step's rows; return their float64 copy if the buffer made one."""
+        width, context = attention.shape[-1], self.total.shape[-1]
+        if width >= context:
+            self.total += attention[..., :context]
+            return None
+        if self._buffer is None:
+            self._buffer = np.zeros_like(self.total)
+        buffer = self._buffer
+        buffer[..., :width] = attention
+        if self._filled > width:
+            buffer[..., width : self._filled] = 0.0
+        self._filled = width
+        self.total += buffer
+        return buffer[..., :width]
+
+
+def validate_trace(
+    trace: AttentionTrace,
+    spans: Sequence[tuple[int, int]] = (),
+    context: int | None = None,
+) -> list[np.ndarray]:
+    """Check every structural invariant; raise Format/IntegrityError if broken.
+
+    Every step is read once. The same pass adds the steps of each
+    `(start, stop)` in `spans` into a `StepSum` as wide as `context`, or, if
+    `context` is None, as wide as the span's last step, and returns those
+    float64 sums in the order of `spans`. A step in a span takes its row sums
+    from the float64 copy that the sum made of it, if one was made. This is
+    how `simulate` gets its observation window: the window is its one span,
+    and the steps after it are validated all the same.
+
+    The row sums and the minimum of each step are collected and checked
+    together, at the end or at the first step that fails a structural check.
+    Either way the error names the first bad step, and a step's structural
+    faults are reported before its values.
+    """
     if trace.num_layers < 1 or trace.num_heads < 1 or trace.num_steps < 1:
         raise FormatError("trace must have at least one layer, head, and step")
     # Written as a negation so a NaN duration, which compares false, fails too.
     if not 0.0 <= trace.total_duration_s < math.inf:
         raise FormatError(f"duration must be finite and >= 0, got {trace.total_duration_s}")
-    prev_context = 0
-    prev_step_index = -1
+    shape = (trace.num_layers, trace.num_heads)
+    sums = []
+    for start, stop in spans:
+        if not 0 <= start < stop <= trace.num_steps:
+            raise ValueError(f"span [{start}, {stop}) is not inside {trace.num_steps} steps")
+        width = trace.steps[stop - 1].context_length if context is None else context
+        sums.append((start, stop, StepSum(*shape, width)))
+    row_sums = np.empty((trace.num_steps, *shape))
+    minima = np.empty(trace.num_steps)
+    prev = None
     for position, step in enumerate(trace.steps):
-        if step.step_index <= prev_step_index:
-            raise IntegrityError(
-                f"step indices must increase: {step.step_index} after {prev_step_index}"
-            )
-        prev_step_index = step.step_index
-        if step.attention.shape[:2] != (trace.num_layers, trace.num_heads):
-            raise FormatError(
-                f"step {position} attention shaped {step.attention.shape}, "
-                f"expected ({trace.num_layers}, {trace.num_heads}, _)"
-            )
-        if step.context_length <= prev_context:
-            raise IntegrityError(
-                f"context length must increase: step {position} has "
-                f"{step.context_length} after {prev_context}"
-            )
-        prev_context = step.context_length
-        sums = step.attention.sum(axis=-1, dtype=np.float64)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        # Written as a negation so a NaN sum, which compares false, fails too.
-        if not worst <= ROW_SUM_TOLERANCE:
-            raise IntegrityError(
-                f"step {position} attention row sums off by {worst:.2e} "
-                f"(tolerance {ROW_SUM_TOLERANCE})"
-            )
-        if np.any(step.attention < 0):
-            raise IntegrityError(f"step {position} has negative attention values")
+        fault = _step_fault(position, step, prev, shape)
+        if fault is not None:
+            _check_values(row_sums, minima, position)
+            raise fault
+        prev = step
+        attention = step.attention
+        copy = None
+        for start, stop, summed in sums:
+            if start <= position < stop:
+                added = summed.add(attention)
+                if copy is None:
+                    copy = added
+        if copy is None:
+            attention.sum(axis=-1, dtype=np.float64, out=row_sums[position])
+        else:
+            np.add.reduce(copy, axis=-1, out=row_sums[position])
+        minima[position] = attention.min()
+    _check_values(row_sums, minima, trace.num_steps)
     first_context = trace.steps[0].context_length
     if trace.audio_start < 0 or trace.num_audio_tokens < 0:
         raise FormatError("audio span fields must be non-negative")
@@ -166,6 +219,46 @@ def validate_trace(trace: AttentionTrace) -> None:
             f"{trace.audio_start + trace.num_audio_tokens}) exceeds the "
             f"smallest context length {first_context}"
         )
+    return [summed.total for _, _, summed in sums]
+
+
+def _step_fault(
+    position: int, step: DecodingStep, prev: DecodingStep | None, shape: tuple[int, int]
+) -> AudioKvError | None:
+    """The first structural fault of the step at `position` after `prev`, or None."""
+    prev_index = -1 if prev is None else prev.step_index
+    if step.step_index <= prev_index:
+        return IntegrityError(f"step indices must increase: {step.step_index} after {prev_index}")
+    if step.attention.ndim != 3 or step.attention.shape[:2] != shape:
+        return FormatError(
+            f"step {position} attention shaped {step.attention.shape}, "
+            f"expected ({shape[0]}, {shape[1]}, _)"
+        )
+    prev_context = 0 if prev is None else prev.context_length
+    if step.context_length <= prev_context:
+        return IntegrityError(
+            f"context length must increase: step {position} has "
+            f"{step.context_length} after {prev_context}"
+        )
+    return None
+
+
+def _check_values(row_sums: np.ndarray, minima: np.ndarray, count: int) -> None:
+    """Raise for the first of the first `count` steps whose rows do not sum
+    to 1 or hold a negative value; a step's row sums are checked first."""
+    drift = np.abs(row_sums[:count] - 1.0).max(axis=(1, 2))
+    # Written as a negation so a NaN sum, which compares false, fails too.
+    bad_sums = ~(drift <= ROW_SUM_TOLERANCE)
+    bad = bad_sums | (minima[:count] < 0)
+    if not bad.any():
+        return
+    position = int(np.argmax(bad))
+    if bad_sums[position]:
+        raise IntegrityError(
+            f"step {position} attention row sums off by {drift[position]:.2e} "
+            f"(tolerance {ROW_SUM_TOLERANCE})"
+        )
+    raise IntegrityError(f"step {position} has negative attention values")
 
 
 def write_trace(trace: AttentionTrace, path: str | Path) -> None:
@@ -208,8 +301,21 @@ def write_trace(trace: AttentionTrace, path: str | Path) -> None:
 def load_trace(path: str | Path) -> AttentionTrace:
     """Read and fully validate a trace file (plus token sidecar if present).
 
-    The file is mapped read-only, not copied: each step's attention is a
-    read-only view of the mapping, which stays open while any step is alive.
+    `map_trace` followed by `validate_trace`, which reads every step once;
+    an error names the file or the first bad step.
+    """
+    trace = map_trace(path)
+    validate_trace(trace)
+    return trace
+
+
+def map_trace(path: str | Path) -> AttentionTrace:
+    """Map a trace file (plus token sidecar if present) without reading its values.
+
+    The file's layout is checked, but not its steps: pass the trace to
+    `validate_trace` before using it. The file is mapped read-only, not
+    copied: each step's attention is a read-only view of the mapping, which
+    stays open while any step is alive.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -256,7 +362,7 @@ def load_trace(path: str | Path) -> AttentionTrace:
         )
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
-    trace = AttentionTrace(
+    return AttentionTrace(
         num_layers=layers,
         num_heads=heads,
         steps=tuple(steps),
@@ -264,8 +370,6 @@ def load_trace(path: str | Path) -> AttentionTrace:
         num_audio_tokens=n_audio,
         total_duration_s=duration,
     )
-    validate_trace(trace)
-    return trace
 
 
 def _sidecar_path(path: Path) -> Path:

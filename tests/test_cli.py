@@ -776,3 +776,96 @@ class TestUsageErrors:
         assert code == 2
         assert "unrecognized arguments: --mix-alpha 0.3" in capsys.readouterr().err
         assert not scores_path.exists()
+
+
+@pytest.mark.parametrize("value", [10**400, 2**32])
+@pytest.mark.parametrize("name", ["top_k", "window"])
+@pytest.mark.parametrize("command", ["compare", "score-heads", "simulate"])
+def test_integer_setting_no_trace_can_use_exits_2(
+    fixture_dir, tmp_path, capsys, command, name, value
+):
+    # A trace stores its step count and context lengths as u32; 10**400
+    # would overflow a float inside head scoring.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    out = tmp_path / "out"
+    inputs = {
+        "compare": ["--alignment", str(fixture_dir / "alignment.json")],
+        "score-heads": ["--alignment", str(fixture_dir / "alignment.json")],
+        "simulate": ["--policy", "snapkv"],
+    }[command]
+    code = main(
+        [command, "--config", str(cfg), "--trace", str(fixture_dir / "trace.akvt"), *inputs,
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert f"{name} must be an integer in [1, 4294967295]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_top_k_is_accepted(fixture_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"top_k": 2**32 - 1}))
+    code, scores_path = run_score(fixture_dir, tmp_path, extra=("--config", str(cfg)))
+    assert code == 0
+    assert load_scores(scores_path).num_samples > 0
+
+
+@pytest.fixture(scope="module")
+def seed_7_with_scores(tmp_path_factory):
+    fx = tmp_path_factory.mktemp("fx7")
+    assert main(["gen-fixture", "--profile", "spike-plateau", "--seed", "7", "--out", str(fx)]) == 0
+    code, scores_path = run_score(fx, fx)
+    assert code == 0
+    return fx, scores_path
+
+
+def corrupt_step(fx, tmp_path, position, defect):
+    """A copy of fixture `fx` whose step `position` has a NaN or a negative entry."""
+    trace = load_trace(fx / "trace.akvt")
+    assert trace.num_steps == 192 and 32 < position
+    steps = list(trace.steps)
+    attention = steps[position].attention.copy()
+    if defect == "nan":
+        attention[1, 2, 40] = np.nan
+    else:  # the row keeps its sum, so only the sign check can catch it
+        attention[1, 2, 41] += attention[1, 2, 40] + 1e-5
+        attention[1, 2, 40] = -1e-5
+    steps[position] = dataclasses.replace(steps[position], attention=attention)
+    out = tmp_path / "bad"
+    out.mkdir()
+    write_trace(dataclasses.replace(trace, steps=tuple(steps)), out / "trace.akvt")
+    shutil.copy(fx / "alignment.json", out / "alignment.json")
+    return out
+
+
+BAD_STEP_150 = {
+    "nan": "step 150 attention row sums off by nan",
+    "negative": "step 150 has negative attention values",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_STEP_150))
+def test_a_bad_step_after_the_window_fails_simulate(seed_7_with_scores, tmp_path, capsys, defect):
+    # simulate sums only the first 32 steps, but validates all 192 in that pass.
+    fx, scores_path = seed_7_with_scores
+    bad = corrupt_step(fx, tmp_path, 150, defect)
+    for policy in POLICIES:
+        out = tmp_path / f"{policy}.json"
+        assert simulate(bad, out, policy, "--scores", str(scores_path)) == 2
+        assert BAD_STEP_150[defect] in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_STEP_150))
+def test_a_bad_step_after_the_window_fails_compare(seed_7_with_scores, tmp_path, capsys, defect):
+    fx, _ = seed_7_with_scores
+    bad = corrupt_step(fx, tmp_path, 150, defect)
+    out, mirror = tmp_path / "report.csv", tmp_path / "report.json"
+    code = main(
+        ["compare", "--trace", str(bad / "trace.akvt"), "--alignment", str(bad / "alignment.json"),
+         "--out", str(out), "--json", str(mirror)]
+    )
+    assert code == 2
+    assert BAD_STEP_150[defect] in capsys.readouterr().err
+    assert not out.exists() and not mirror.exists()

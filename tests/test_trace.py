@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import align_oracle
+import validate_oracle
 from audiokv.errors import DegenerateSpanError, FormatError, IntegrityError
+from audiokv.eviction import summed_attention
 from audiokv.trace import (
     AttentionTrace,
     AudioSpan,
@@ -21,6 +24,7 @@ from audiokv.trace import (
     filter_words,
     load_alignment,
     load_trace,
+    validate_trace,
     word_to_audio_span,
     write_alignment,
     write_trace,
@@ -335,3 +339,137 @@ def test_alignment_matches_the_character_loop_oracle(texts, words):
     assert align_generated_to_words(steps, aligned) == align_oracle.align_generated_to_words(
         steps, aligned
     )
+
+
+def _rows(rng, layers, heads, context):
+    rows = rng.random((layers, heads, context)) + 0.01
+    return (rows / rows.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+
+@st.composite
+def valid_traces(draw):
+    """Small traces that pass validation, with widening contexts."""
+    layers, heads = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    first = draw(st.integers(1, 12))
+    growth = draw(st.lists(st.integers(1, 3), max_size=7))
+    contexts = np.cumsum([first, *growth]).tolist()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = tuple(
+        DecodingStep(t, "", _rows(rng, layers, heads, context)) for t, context in enumerate(contexts)
+    )
+    a0 = draw(st.integers(0, first))
+    n_audio = draw(st.integers(0, first - a0))
+    return AttentionTrace(layers, heads, steps, a0, n_audio, 1.0)
+
+
+DEFECTS = ["row-sum", "nan", "negative", "shape", "context", "step-index", "audio-span"]
+
+
+def inject(draw, trace, defect):
+    """`trace` with one `defect` at a drawn step."""
+    steps = list(trace.steps)
+    position = draw(st.integers(0, len(steps) - 1))
+    step = steps[position]
+    attention = step.attention.copy()
+    layer = draw(st.integers(0, trace.num_layers - 1))
+    head = draw(st.integers(0, trace.num_heads - 1))
+    if step.context_length == 0 and defect in ("row-sum", "nan", "negative"):
+        return trace  # an earlier defect emptied this step, which already fails
+    index = draw(st.integers(0, max(step.context_length - 1, 0)))
+    if defect == "audio-span":
+        if draw(st.booleans()):
+            return dataclasses.replace(trace, num_audio_tokens=steps[0].context_length + 1)
+        return dataclasses.replace(trace, audio_start=-1)
+    if defect == "row-sum":
+        attention[layer, head] *= draw(st.sampled_from([0.5, 0.999, 1.001, 3.0]))
+    elif defect == "nan":
+        attention[layer, head, index] = np.nan
+    elif defect == "negative":
+        # The row keeps its sum where it can, so the sign check is what fails.
+        other = (index + 1) % step.context_length
+        attention[layer, head, other] += attention[layer, head, index] + 1e-5
+        attention[layer, head, index] = -1e-5
+    elif defect == "shape":
+        rng = np.random.default_rng(position)
+        attention = _rows(rng, trace.num_layers, trace.num_heads + 1, step.context_length)
+    elif defect == "context":
+        # At step 0 only an empty step is no wider than the last.
+        previous = steps[position - 1].context_length if position else 0
+        width = draw(st.integers(0, previous))
+        attention = _rows(np.random.default_rng(position), trace.num_layers, trace.num_heads, width)
+    elif defect == "step-index":
+        previous = steps[position - 1].step_index if position else -1
+        step = dataclasses.replace(step, step_index=previous - draw(st.integers(0, 2)))
+    steps[position] = dataclasses.replace(step, attention=attention)
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+def outcome(validate):
+    try:
+        validate()
+    except (FormatError, IntegrityError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), trace=valid_traces())
+def test_validation_reports_the_oracles_error(data, trace):
+    # One to three defects: the one-pass check must raise the error the
+    # step-by-step oracle raises first, whether or not it also sums spans.
+    for defect in data.draw(st.lists(st.sampled_from(DEFECTS), min_size=1, max_size=3)):
+        trace = inject(data.draw, trace, defect)
+    expected = outcome(lambda: validate_oracle.validate_trace(trace))
+    assert expected is not None
+    assert outcome(lambda: validate_trace(trace)) == expected
+    start = data.draw(st.integers(0, trace.num_steps - 1))
+    stop = data.draw(st.integers(start + 1, trace.num_steps))
+    context = data.draw(st.none() | st.integers(1, 48))
+    assert outcome(lambda: validate_trace(trace, [(start, stop)], context)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), trace=valid_traces())
+def test_span_sums_match_the_oracle_bit_for_bit(data, trace):
+    spans = data.draw(
+        st.lists(
+            st.integers(0, trace.num_steps - 1).flatmap(
+                lambda start: st.tuples(st.just(start), st.integers(start + 1, trace.num_steps))
+            ),
+            max_size=3,
+        )
+    )
+    # The context may cut the later, wider steps or pad every step.
+    context = data.draw(st.none() | st.integers(1, 48))
+    sums = validate_trace(trace, spans, context)
+    assert len(sums) == len(spans)
+    for (start, stop), summed in zip(spans, sums):
+        width = trace.steps[stop - 1].context_length if context is None else context
+        expected = validate_oracle.summed_attention(trace.steps[start:stop], width)
+        assert summed.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    context=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summed_attention_matches_the_oracle_as_widths_shrink_and_grow(widths, context, seed):
+    rng = np.random.default_rng(seed)
+    steps = [DecodingStep(t, "", _rows(rng, 2, 3, width)) for t, width in enumerate(widths)]
+    expected = validate_oracle.summed_attention(steps, context)
+    assert summed_attention(steps, context).tobytes() == expected.tobytes()
+
+
+def test_a_step_of_the_wrong_rank_raises_format_error():
+    # A [layers, heads] step has the right leading sides but no context axis.
+    trace = make_trace(layers=1, heads=2, contexts=(4,))
+    flat = dataclasses.replace(trace.steps[0], attention=np.full((1, 2), 1.0, dtype=np.float32))
+    with pytest.raises(FormatError, match=r"step 0 attention shaped \(1, 2\)"):
+        validate_trace(dataclasses.replace(trace, steps=(flat,)))
+
+
+def test_a_span_outside_the_trace_is_rejected():
+    with pytest.raises(ValueError, match="not inside 2 steps"):
+        validate_trace(make_trace(), [(1, 3)])
