@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import align_oracle
@@ -420,7 +420,7 @@ def test_validation_reports_the_oracles_error(data, trace):
     for defect in data.draw(st.lists(st.sampled_from(DEFECTS), min_size=1, max_size=3)):
         trace = inject(data.draw, trace, defect)
     expected = outcome(lambda: validate_oracle.validate_trace(trace))
-    assert expected is not None
+    assume(expected is not None)  # two row-sum defects on one row can cancel
     assert outcome(lambda: validate_trace(trace)) == expected
     start = data.draw(st.integers(0, trace.num_steps - 1))
     stop = data.draw(st.integers(start + 1, trace.num_steps))
