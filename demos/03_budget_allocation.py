@@ -6,13 +6,7 @@ baselines, and the bookkeeping laws (conservation, window floor).
 
 import numpy as np
 
-from audiokv import (
-    AllocationMode,
-    HeadScoreMatrix,
-    allocate,
-    pyramid_schedule,
-    resolve_base_tokens,
-)
+from audiokv import AllocationMode, HeadScoreMatrix, make_plan, pyramid_schedule
 
 scores = HeadScoreMatrix(
     scores=np.array([[0.50, 0.05, 0.05, 0.05], [0.05, 0.40, 0.05, 0.05]]),
@@ -21,14 +15,13 @@ scores = HeadScoreMatrix(
 context = 500
 budget = 8 * int(0.4 * context)  # 40% retention over 8 heads
 window = 32
-base = resolve_base_tokens(budget, 8, base_fraction=0.5)
-print(f"global budget {budget} tokens, window {window}, uniform base {base}\n")
+plans = {mode: make_plan(scores, budget, mode, window, 0.5) for mode in AllocationMode}
+plan = plans[AllocationMode.COMBINED]
+print(f"global budget {budget} tokens, window {window}, uniform base {plan.base}\n")
 
-for mode in AllocationMode:
-    plan = allocate(scores, budget, window, base if mode is AllocationMode.COMBINED else 0, mode)
-    print(f"{mode.value:>18}: {plan.capacities.tolist()}  total={plan.total}")
+for p in plans.values():
+    print(f"{p.mode:>18}: {p.capacities.tolist()}  total={p.total}")
 
-plan = allocate(scores, budget, window, base, AllocationMode.COMBINED)
 print("\ncombined-mode laws:")
 print("  conserved:", plan.total == budget)
 print("  window floor:", bool(np.all(plan.capacities >= window)))

@@ -7,18 +7,13 @@ to CSV.
 """
 
 from audiokv import (
-    COMPARE_GRID,
-    POLICIES,
-    AllocationMode,
     KvGeometry,
-    PolicySpec,
     SssConfig,
     TopKConfig,
     align_generated_to_words,
-    allocate,
+    compare_grid,
     filter_words,
     generate_fixture,
-    resolve_base_tokens,
     run_comparison,
     score_heads,
 )
@@ -30,27 +25,11 @@ words = filter_words(fixture.words, 0.95)
 mapping = align_generated_to_words(list(trace.steps), words)
 scores = score_heads(trace, words, mapping, TopKConfig(24))
 
-observation = 32
-context = trace.steps[observation - 1].context_length
-n = trace.num_layers * trace.num_heads
 smoothing = SssConfig(cutoff_ratio=0.7, mix_alpha=0.5)
-
-policies, plans = [], []
-for ratio in (0.4, 0.6, 0.8):
-    budget = n * int(ratio * context)
-    base = resolve_base_tokens(budget, n, 0.5)
-    plan_of = {
-        mode: allocate(scores, budget, 32, base if mode is AllocationMode.COMBINED else 0, mode)
-        for mode in {POLICIES[name].mode for name in COMPARE_GRID}
-    }
-    for name in COMPARE_GRID:
-        policy = POLICIES[name]
-        policies.append(PolicySpec(name, policy.selector, smoothing if policy.smooth else None))
-        plans.append(plan_of[policy.mode])
-
-reports = run_comparison(
-    trace, policies, plans, KvGeometry(), observation_width=observation, recent=32
+policies, plans = compare_grid(
+    trace, scores, (0.4, 0.6, 0.8), window=32, base_fraction=0.5, sss=smoothing
 )
+reports = run_comparison(trace, policies, plans, KvGeometry(), observation_width=32, recent=32)
 
 print(f"{'policy':>14} {'ratio':>6} {'overlap':>8} {'mass':>7} {'entropy':>8} {'MiB':>6}")
 for r in reports:

@@ -6,6 +6,7 @@ from .budget import (
     BudgetPlan,
     allocate,
     load_plan,
+    make_plan,
     pyramid_schedule,
     resolve_base_tokens,
     save_plan,
@@ -46,6 +47,7 @@ from .metrics import (
     KvGeometry,
     PolicySpec,
     RetentionReport,
+    compare_grid,
     coverage_entropy,
     memory_footprint,
     oracle_overlap,

@@ -127,6 +127,16 @@ def allocate(
     )
 
 
+def make_plan(
+    scores: HeadScoreMatrix, budget: int, mode: AllocationMode, window: int, base_fraction: float
+) -> BudgetPlan:
+    """`allocate` `budget` in `mode`; only `combined` spends a uniform base,
+    `resolve_base_tokens(budget, heads, base_fraction)`."""
+    combined = mode is AllocationMode.COMBINED
+    base = resolve_base_tokens(budget, scores.scores.size, base_fraction) if combined else 0
+    return allocate(scores, budget, window, base, mode)
+
+
 def pyramid_schedule(num_layers: int, per_layer_budget: int, decay: float) -> list[int]:
     """Geometrically decaying per-layer budgets, renormalized to the exact total.
 

@@ -15,19 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import (
-    AllocationMode,
-    BudgetPlan,
-    allocate,
-    load_plan,
-    resolve_base_tokens,
-    save_plan,
-)
+from .budget import AllocationMode, load_plan, make_plan, save_plan
 from .errors import AudioKvError, read_json
 from .eviction import POLICIES, ObservationWindow, save_result, select
 from .fixtures import PROFILES, generate_fixture
 from .heads import HeadScoreMatrix, TopKConfig, load_scores, save_scores, score_heads
-from .metrics import COMPARE_GRID, KvGeometry, PolicySpec, run_comparison, write_reports
+from .metrics import KvGeometry, compare_grid, run_comparison, write_reports
 from .spectral import SssConfig, smooth_rows
 from .trace import (
     align_generated_to_words,
@@ -56,6 +49,7 @@ class RunConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """`--config`'s settings, checked as the file is read, under the setting flags."""
     values = {}
     if getattr(args, "config", None):
         values = read_json(args.config)
@@ -64,84 +58,77 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         unknown = set(values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise AudioKvError(f"unknown config keys: {sorted(unknown)}")
+        _check(values)
     for field in fields(RunConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             values[field.name] = value
-    return _check_config(replace(RunConfig(), **values))
+    cfg = replace(RunConfig(), **values)
+    return replace(cfg, retention_ratios=tuple(cfg.retention_ratios))
 
 
-# A trace stores its step count and context lengths as u32, so no trace
-# needs a larger top-k or window; a larger value would only overflow later.
+# A trace stores its step count and context lengths as u32, so no count a
+# command reads needs to be larger; a larger one would only overflow later.
 _MAX_COUNT = 2**32 - 1
+_COUNT = f"in [1, {_MAX_COUNT}]"
 
-# The numeric RunConfig fields: integer or not, and the range their consumers
-# (`filter_words`, `TopKConfig`, `build_observation_window`,
-# `resolve_base_tokens`, `SssConfig`) accept.
+# Every number a command reads, by flag dest or config field: its name in
+# messages, whether it is an integer, the rule stated and the rule's test.
+# Each is the range its consumer accepts; a `retention_ratios` entry is a
+# `ratio`. `cmd_allocate` also bounds the budget by what the heads can hold.
 _NUMBERS = {
-    "tau": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "top_k": (True, f"in [1, {_MAX_COUNT}]", lambda v: 1 <= v <= _MAX_COUNT),
-    "window": (True, f"in [1, {_MAX_COUNT}]", lambda v: 1 <= v <= _MAX_COUNT),
-    "base_fraction": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "cutoff_ratio": (False, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "mix_alpha": (False, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "tau": ("tau", False, "a number in [0, 1]", lambda v: 0 <= v <= 1),
+    "top_k": ("top_k", True, f"an integer {_COUNT}", lambda v: 1 <= v <= _MAX_COUNT),
+    "window": ("window", True, f"an integer {_COUNT}", lambda v: 1 <= v <= _MAX_COUNT),
+    "base_fraction": ("base_fraction", False, "a number in [0, 1]", lambda v: 0 <= v <= 1),
+    "cutoff_ratio": ("cutoff_ratio", False, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    "mix_alpha": ("mix_alpha", False, "a number in [0, 1]", lambda v: 0 <= v <= 1),
+    "ratio": ("ratio", False, "in (0, 1]", lambda v: 0 < v <= 1),
+    "context_length": (
+        "context length", True, f"an integer >= 1 and <= {_MAX_COUNT}",
+        lambda v: 1 <= v <= _MAX_COUNT,
+    ),
+    "pool_width": (
+        "pool width", True, f"an odd integer >= 1 and <= {_MAX_COUNT}",
+        lambda v: 1 <= v <= _MAX_COUNT and v % 2 == 1,
+    ),
+    "budget": ("budget", True, "an integer >= 1", lambda v: v >= 1),
+    "seed": ("seed", True, "an integer >= 0", lambda v: v >= 0),
 }
 
 
-def _is_number(value: object, integer: bool = False) -> bool:
-    kinds = int if integer else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _check(values: dict) -> None:
+    """Raise an AudioKvError for the first flag `_numeral` or config JSON value
+    that `_NUMBERS` rules out; a bool is not a number, nor a float an integer."""
+    for name, value in values.items():
+        if name == "retention_ratios":
+            if not isinstance(value, (list, tuple)) or not value:
+                raise AudioKvError(f"retention_ratios must be a non-empty list, got {value!r}")
+            name, entries = "ratio", value
+        elif name in _NUMBERS:
+            entries = [value]
+        else:
+            continue
+        label, integer, rule, holds = _NUMBERS[name]
+        kinds = int if integer else (int, float)
+        for entry in entries:
+            if isinstance(entry, bool) or not isinstance(entry, kinds) or not holds(entry):
+                raise AudioKvError(f"{label} must be {rule}, got {entry!r}")
 
 
-def _check_config(cfg: RunConfig) -> RunConfig:
-    """`cfg` if every field has the type and range its consumer needs.
-
-    Flag and `--config` values both come through here, so either way a bad
-    value is an AudioKvError (exit 2) before any file is read or written.
-    """
-    for name, (integer, rule, holds) in _NUMBERS.items():
-        value = getattr(cfg, name)
-        if not _is_number(value, integer) or not holds(value):
-            kind = "an integer" if integer else "a number"
-            raise AudioKvError(f"{name} must be {kind} {rule}, got {value!r}")
-    ratios = cfg.retention_ratios
-    if not isinstance(ratios, (list, tuple)) or not ratios or not all(map(_is_number, ratios)):
-        raise AudioKvError(f"retention_ratios must be a non-empty list of numbers, got {ratios!r}")
-    try:
-        return replace(cfg, retention_ratios=tuple(map(_ratio, ratios)))
-    except (argparse.ArgumentTypeError, OverflowError) as exc:
-        raise AudioKvError(f"retention_ratios: {exc}") from exc
+def _numeral(text: str) -> int | float | str:
+    """A flag's text as the int or float it spells, or the text itself, which `_check` rejects."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _ratio(raw: str) -> float:
-    """Retention ratio flag value: a fraction of the cache in (0, 1]."""
-    ratio = float(raw)
-    if not 0.0 < ratio <= 1.0:
-        raise argparse.ArgumentTypeError(f"ratio must be in (0, 1], got {raw}")
-    return ratio
-
-
-def _context_length(raw: str) -> int:
-    """`allocate --context-length`: a token count >= 1."""
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"context length must be an integer >= 1, got {raw}")
-    return value
-
-
-def _pool_width(raw: str) -> int:
-    """`simulate --pool-width`: an odd integer >= 1, as `select_snapkv` needs."""
-    width = int(raw)
-    if width < 1 or width % 2 == 0:
-        raise argparse.ArgumentTypeError(f"pool width must be an odd integer >= 1, got {raw}")
-    return width
-
-
-def _parse_ratios(raw: str) -> tuple[float, ...]:
-    ratios = tuple(_ratio(r) for r in raw.split(",") if r.strip())
-    if not ratios:
-        raise argparse.ArgumentTypeError("ratios must be a comma list of values in (0, 1]")
-    return ratios
+def _numerals(text: str) -> list:
+    """`compare --ratios`: the `_numeral` of each comma-separated entry."""
+    return [_numeral(entry) for entry in text.split(",") if entry.strip()]
 
 
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
@@ -199,13 +186,6 @@ def cmd_smooth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan(scores: HeadScoreMatrix, budget: int, mode: AllocationMode, cfg: RunConfig) -> BudgetPlan:
-    """Allocate `budget` in `mode`; only `combined` spends a uniform base."""
-    combined = mode is AllocationMode.COMBINED
-    base = resolve_base_tokens(budget, scores.scores.size, cfg.base_fraction) if combined else 0
-    return allocate(scores, budget, cfg.window, base, mode)
-
-
 def cmd_allocate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     scores = load_scores(args.scores)
@@ -217,8 +197,10 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         budget = n * int(args.ratio * args.context_length)
     else:
         raise AudioKvError("provide --budget, or --ratio with --context-length")
+    if budget > n * _MAX_COUNT:
+        raise AudioKvError(f"budget must be at most {n * _MAX_COUNT} for {n} heads, got {budget}")
     mode = AllocationMode(args.mode)
-    plan = _plan(scores, budget, mode, cfg)
+    plan = make_plan(scores, budget, mode, cfg.window, cfg.base_fraction)
     save_plan(plan, args.out)
     print(
         f"{mode.value}: budget {budget} over {n} heads "
@@ -252,7 +234,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             scores = load_scores(args.scores)
         else:  # uniform and pyramid plans read only the number of heads
             scores = HeadScoreMatrix(np.zeros(window.shape), num_samples=0)
-        plan = _plan(scores, int(args.ratio * context) * n, policy.mode, cfg)
+        budget = int(args.ratio * context) * n
+        plan = make_plan(scores, budget, policy.mode, cfg.window, cfg.base_fraction)
     else:
         raise AudioKvError(f"policy {args.policy} needs head scores: pass --scores or --plan")
     sss_cfg = cfg.sss() if policy.smooth else None
@@ -271,22 +254,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trace, scores = _score_from_files(args, cfg)
-    obs_steps = min(cfg.window, trace.num_steps - 1)
-    if obs_steps < 1:
-        raise AudioKvError("trace too short for a comparison split")
-    context = trace.steps[obs_steps - 1].context_length
-    n = trace.num_layers * trace.num_heads
-
-    policies, plans = [], []
-    for ratio in cfg.retention_ratios:
-        budget = n * int(ratio * context)
-        modes = {POLICIES[name].mode for name in COMPARE_GRID}
-        plan_of = {mode: _plan(scores, budget, mode, cfg) for mode in modes}
-        for name in COMPARE_GRID:
-            policy = POLICIES[name]
-            policies.append(PolicySpec(name, policy.selector, cfg.sss() if policy.smooth else None))
-            plans.append(plan_of[policy.mode])
-
+    policies, plans = compare_grid(
+        trace, scores, cfg.retention_ratios, cfg.window, cfg.base_fraction, cfg.sss()
+    )
     reports = run_comparison(
         trace,
         policies,
@@ -312,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
         """`--config` plus a flag for each RunConfig field the command reads."""
         p.add_argument("--config", help="JSON config file with RunConfig fields")
         for name in names:
-            kind = int if _NUMBERS[name][0] else float
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=_numeral, default=None)
 
     p = sub.add_parser("gen-fixture", help="write a deterministic synthetic trace")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_numeral, default=0)
     p.add_argument("--profile", choices=PROFILES, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_fixture)
@@ -336,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="turn head scores into a budget plan")
     p.add_argument("--scores", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--ratio", type=_ratio, default=None)
-    p.add_argument("--context-length", dest="context_length", type=_context_length, default=None)
+    p.add_argument("--budget", type=_numeral, default=None)
+    p.add_argument("--ratio", type=_numeral, default=None)
+    p.add_argument("--context-length", dest="context_length", type=_numeral, default=None)
     p.add_argument("--mode", default="combined", choices=[m.value for m in AllocationMode])
     p.add_argument("--out", required=True)
     add_settings(p, "window", "base_fraction")
@@ -350,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(POLICIES),
     )
-    p.add_argument("--ratio", type=_ratio, default=0.4)
+    p.add_argument("--ratio", type=_numeral, default=0.4)
     p.add_argument("--scores", default=None)
     p.add_argument("--plan", default=None)
-    p.add_argument("--pool-width", dest="pool_width", type=_pool_width, default=7)
+    p.add_argument("--pool-width", dest="pool_width", type=_numeral, default=7)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     add_settings(p, "window", "base_fraction", "cutoff_ratio", "mix_alpha")
@@ -363,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ratios",
         dest="retention_ratios",
-        type=_parse_ratios,
+        type=_numerals,
         default=None,
         help="comma-separated retention ratios in (0, 1]",
     )
@@ -371,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--alignment", required=True)
     p.add_argument("--out", required=True)
-    add_settings(p, *_NUMBERS)
+    add_settings(p, "tau", "top_k", "window", "base_fraction", "cutoff_ratio", "mix_alpha")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -384,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check({name: value for name, value in vars(args).items() if value is not None})
         return args.func(args)
     except (AudioKvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -186,9 +186,10 @@ def _pool(scores: np.ndarray, width: int) -> np.ndarray:
     """
     if width == 1:
         return scores
-    kernel = np.full(width, 1.0 / width)
     half = width // 2
     context = scores.shape[-1]
+    # No window, full or partial, spans more than the context.
+    kernel = np.full(min(width, context), 1.0 / width)
     pooled = np.empty_like(scores)
     if context >= width:
         windows = sliding_window_view(scores, width, axis=-1)

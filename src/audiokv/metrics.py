@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetPlan
+from .budget import BudgetPlan, make_plan
 from .errors import DimensionMismatchError, HorizonError
 from .eviction import (
+    POLICIES,
     EvictionResult,
     ObservationWindow,
     build_observation_window,
@@ -30,6 +31,7 @@ from .eviction import (
     select,
     summed_attention,
 )
+from .heads import HeadScoreMatrix
 from .spectral import SssConfig
 from .trace import AttentionTrace
 
@@ -68,6 +70,43 @@ class PolicySpec:
     name: str
     selector: str = "audiokv"
     sss: SssConfig | None = None
+
+
+def eviction_boundary(trace: AttentionTrace, observation_width: int) -> int:
+    """How many steps precede the eviction boundary: `observation_width`,
+    cut so that at least one step is left for the held-out future."""
+    obs_steps = min(observation_width, trace.num_steps - 1)
+    if obs_steps < 1:
+        raise HorizonError("trace too short to split into observation and future")
+    return obs_steps
+
+
+def compare_grid(
+    trace: AttentionTrace,
+    scores: HeadScoreMatrix,
+    ratios: tuple[float, ...],
+    window: int,
+    base_fraction: float,
+    sss: SssConfig,
+) -> tuple[list[PolicySpec], list[BudgetPlan]]:
+    """`run_comparison`'s `COMPARE_GRID` rows at each ratio, and their plans.
+
+    A ratio's budget is layers·heads·int(ratio·context) at the eviction
+    boundary of an `observation_width` of `window`; the rows of one plan
+    mode share one `make_plan`, and the rows that smooth use `sss`.
+    """
+    context = trace.steps[eviction_boundary(trace, window) - 1].context_length
+    layers, heads = scores.shape
+    modes = dict.fromkeys(POLICIES[name].mode for name in COMPARE_GRID)
+    policies, plans = [], []
+    for ratio in ratios:
+        budget = layers * heads * int(ratio * context)
+        plan_of = {mode: make_plan(scores, budget, mode, window, base_fraction) for mode in modes}
+        for name in COMPARE_GRID:
+            policy = POLICIES[name]
+            policies.append(PolicySpec(name, policy.selector, sss if policy.smooth else None))
+            plans.append(plan_of[policy.mode])
+    return policies, plans
 
 
 def find_eviction_step(trace: AttentionTrace, context_length: int) -> int:
@@ -198,9 +237,7 @@ def run_comparison(
         raise ValueError("policies and plans must pair up one to one")
     if not policies:
         return []
-    obs_steps = min(observation_width, trace.num_steps - 1)
-    if obs_steps < 1:
-        raise HorizonError("trace too short to split into observation and future")
+    obs_steps = eviction_boundary(trace, observation_width)
     obs_trace = trace.prefix(obs_steps)
     window = build_observation_window(obs_trace, obs_steps)
     context = obs_trace.final_context_length

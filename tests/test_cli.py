@@ -1,10 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiokv.budget import AllocationMode, load_plan
 from audiokv.cli import main
@@ -869,3 +875,166 @@ def test_a_bad_step_after_the_window_fails_compare(seed_7_with_scores, tmp_path,
     assert code == 2
     assert BAD_STEP_150[defect] in capsys.readouterr().err
     assert not out.exists() and not mirror.exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "fx"
+    assert main(["gen-fixture", "--profile", "uniform", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The most a 2x4-head scores file can take: 8 heads x (2^32 - 1), the largest
+# context a trace records.
+LARGEST_2X4_BUDGET = 8 * (2**32 - 1)
+
+
+@pytest.mark.parametrize(
+    "mode, flags, message",
+    [
+        (mode, ["--budget", str(10**28)], f"budget must be at most {LARGEST_2X4_BUDGET}")
+        for mode in ("combined", "uniform", "pyramid")
+    ]
+    + [
+        # Past 2^53 the pyramid split loses slots to rounding: its plan summed
+        # to 250 more than this budget, and `load_plan` rejected it.
+        ("pyramid", ["--budget", "4611686018427387911"], "budget must be at most"),
+        ("pyramid", ["--budget", str(LARGEST_2X4_BUDGET + 1)], "budget must be at most"),
+        (
+            "combined",
+            ["--ratio", "0.5", "--context-length", "99999999999999999999999"],
+            "context length must be an integer >= 1 and <= 4294967295",
+        ),
+    ],
+)
+def test_budget_the_heads_cannot_hold_exits_2(
+    seed_7_with_scores, tmp_path, capsys, mode, flags, message
+):
+    _, scores_path = seed_7_with_scores
+    out = tmp_path / "p.json"
+    argv = ["allocate", "--scores", str(scores_path), "--mode", mode, *flags, "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["combined", "uniform", "pyramid"])
+def test_largest_budget_writes_a_plan_that_loads(seed_7_with_scores, tmp_path, mode):
+    _, scores_path = seed_7_with_scores
+    out = tmp_path / "p.json"
+    argv = ["allocate", "--scores", str(scores_path), "--mode", mode,
+            "--budget", str(LARGEST_2X4_BUDGET), "--out", str(out)]
+    assert main(argv) == 0
+    assert load_plan(out).total == LARGEST_2X4_BUDGET
+
+
+# Runs `audiokv.cli.main(argv[2:])` with RLIMIT_DATA set argv[1] bytes above
+# what the process already holds, and exits with its code.
+MAIN_UNDER_DATA_LIMIT = """
+import resource, sys
+from audiokv.cli import main
+
+with open("/proc/self/status") as fh:
+    held = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmData:"))
+_, hard = resource.getrlimit(resource.RLIMIT_DATA)
+resource.setrlimit(resource.RLIMIT_DATA, (held + int(sys.argv[1]), hard))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_pool_wider_than_the_context_averages_the_whole_row(seed_7_with_scores, tmp_path):
+    # A width of 2·context+1 or more puts every position's window over the
+    # whole row, so any such width keeps the same entries; none may allocate
+    # a width-sized kernel.
+    fx, _ = seed_7_with_scores
+    outs = []
+    for width in [2**32 - 1, None]:
+        if width is None:
+            width = 2 * json.loads(outs[0].read_text())["context_length"] + 1
+        out = tmp_path / f"pool-{width}.json"
+        run = subprocess.run(
+            [sys.executable, "-c", MAIN_UNDER_DATA_LIMIT, str(512 * 2**20), "simulate",
+             "--trace", str(fx / "trace.akvt"), "--policy", "snapkv", "--pool-width", str(width),
+             "--out", str(out)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        outs.append(out)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+# Flag text as a user might type it: integers of either sign and of every
+# size up to 10^30, and floats, NaN and infinities included.
+NUMERAL = st.one_of(
+    st.integers(0, 30).flatmap(lambda e: st.integers(-(10**e), 10**e)), st.floats(), st.floats(0, 1)
+).map(str)
+# 2·549 + 1, the widest pool the seed-7 window's context needs; wider ones
+# are covered under a memory limit above.
+POOL_WIDTH = st.one_of(
+    st.integers(0, 30).flatmap(lambda e: st.integers(-(10**e), min(10**e, 1099))), st.floats()
+).map(str)
+
+
+def numeric_flags(**accepted):
+    """`--flag=text` arguments: one flag's text drawn from `NUMERAL` (from
+    `POOL_WIDTH` for the pool width), and each other flag left out or given
+    one of its `accepted` values, so the drawn text decides the exit."""
+
+    def around(drawn):
+        text = POOL_WIDTH if drawn == "pool_width" else NUMERAL
+        rest = {f: st.none() | st.sampled_from(v) for f, v in accepted.items() if f != drawn}
+        return st.fixed_dictionaries({drawn: text, **rest})
+
+    return st.sampled_from(sorted(accepted)).flatmap(around).map(
+        lambda given: [f"--{f.replace('_', '-')}={v}" for f, v in given.items() if v is not None]
+    )
+
+
+FUZZED_FLAGS = {
+    "allocate": numeric_flags(
+        budget=[5000], ratio=[0.5], context_length=[549], window=[1, 32], base_fraction=[0, 0.5]
+    ),
+    "simulate": numeric_flags(
+        ratio=[0.5],
+        pool_width=[1, 7],
+        window=[1, 32],
+        base_fraction=[0.5],
+        cutoff_ratio=[0.7],
+        mix_alpha=[0.5],
+    ),
+    "smooth": numeric_flags(cutoff_ratio=[0.7], mix_alpha=[0.5]),
+    "gen-fixture": numeric_flags(seed=[0]),
+}
+
+
+@pytest.fixture(scope="module")
+def signals_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("signals") / "signals.csv"
+    np.savetxt(path, np.random.default_rng(0).random((16, 2)), delimiter=",")
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED_FLAGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_exit_0_or_2(seed_7_with_scores, signals_csv, command, data):
+    fx, scores_path = seed_7_with_scores
+    out = fx / f"fuzzed-{command}"
+    shutil.rmtree(out, ignore_errors=True)
+    out.unlink(missing_ok=True)
+    if command == "allocate":
+        modes = [m.value for m in AllocationMode]
+        inputs = ["--scores", scores_path, "--mode", data.draw(st.sampled_from(modes)), "--out"]
+    elif command == "simulate":
+        policy = data.draw(st.sampled_from(list(POLICIES)))
+        inputs = ["--trace", fx / "trace.akvt", "--scores", scores_path, "--policy", policy,
+                  "--out"]
+    elif command == "smooth":
+        inputs = ["--input", signals_csv, "--output"]
+    else:
+        inputs = ["--profile", "uniform", "--out"]
+    code = main([command, *map(str, inputs), str(out), *data.draw(FUZZED_FLAGS[command])])
+    assert code in (0, 2)
+    assert out.exists() == (code == 0)
