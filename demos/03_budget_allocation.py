@@ -15,7 +15,8 @@ scores = HeadScoreMatrix(
 context = 500
 budget = 8 * int(0.4 * context)  # 40% retention over 8 heads
 window = 32
-plans = {mode: make_plan(scores, budget, mode, window, 0.5) for mode in AllocationMode}
+base_fraction = 0.5  # the combined plan's uniform base: half of each head's even share
+plans = {mode: make_plan(scores, budget, mode, window, base_fraction) for mode in AllocationMode}
 plan = plans[AllocationMode.COMBINED]
 print(f"global budget {budget} tokens, window {window}, uniform base {plan.base}\n")
 
