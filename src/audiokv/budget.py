@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError, json_int, read_json
-from .heads import HeadScoreMatrix
+from .heads import HeadScoreMatrix, topk_mask
 
 DEFAULT_PYRAMID_DECAY = 0.8
 
@@ -142,7 +142,8 @@ def pyramid_schedule(num_layers: int, per_layer_budget: int, decay: float) -> li
 
     Weights decay^0, decay^1, ... are scaled so the grand total equals
     num_layers * per_layer_budget; fractional remainders are rounded with the
-    largest-remainder rule (ties to the earlier layer).
+    largest-remainder rule: the leftover slots go to the `topk_mask` of the
+    remainders (ties to the earlier layer).
     """
     if not 0.0 < decay <= 1.0:
         raise ValueError("decay must be in (0, 1]")
@@ -154,8 +155,7 @@ def pyramid_schedule(num_layers: int, per_layer_budget: int, decay: float) -> li
     floors = np.floor(raw).astype(np.int64)
     remainders = raw - floors
     leftover = total - int(floors.sum())
-    order = np.argsort(-remainders, kind="stable")
-    floors[order[:leftover]] += 1
+    floors += topk_mask(remainders, leftover)
     return [int(v) for v in floors]
 
 

@@ -191,12 +191,13 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     scores = load_scores(args.scores)
     layers, heads = scores.shape
     n = layers * heads
-    if args.budget is not None:
+    sized = (args.ratio, args.context_length)
+    if args.budget is not None and sized == (None, None):
         budget = args.budget
-    elif args.ratio is not None and args.context_length is not None:
+    elif args.budget is None and None not in sized:
         budget = n * int(args.ratio * args.context_length)
     else:
-        raise AudioKvError("provide --budget, or --ratio with --context-length")
+        raise AudioKvError("provide --budget, or --ratio with --context-length, not both")
     if budget > n * _MAX_COUNT:
         raise AudioKvError(f"budget must be at most {n * _MAX_COUNT} for {n} heads, got {budget}")
     mode = AllocationMode(args.mode)

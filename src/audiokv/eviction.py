@@ -26,6 +26,7 @@ from .errors import (
     json_int,
     read_json,
 )
+from .heads import topk_mask
 from .spectral import SssConfig, smooth_rows
 from .trace import AttentionTrace, DecodingStep, StepSum
 
@@ -113,40 +114,6 @@ def summed_attention(steps: Sequence[DecodingStep], context: int) -> np.ndarray:
     for step in steps:
         summed.add(step.attention)
     return summed.total
-
-
-def topk_mask(scores: np.ndarray, k: np.ndarray, ranked: np.ndarray | None = None) -> np.ndarray:
-    """True at the k[...] highest scores of each row, ties going to the lower index.
-
-    This is where every selection ranks: each row keeps everything above its
-    kth-largest value, then the first of the entries equal to it (the oracle
-    overlap applies the same rule through `metrics._descending_ranks`). The
-    kth value is read off `ranked`, the value sort of `scores` along the last
-    axis, which callers ranking one array under several k sort once and pass
-    in; without it the scores are sorted here.
-
-    Every row is scanned once for the entries at or above its kth value.
-    Only the rows where those number more than k, because the ties at the
-    kth value spill past it, are scanned again to keep their first ties.
-    """
-    context = scores.shape[-1]
-    if context == 0:
-        return np.zeros(scores.shape, dtype=bool)
-    if ranked is None:
-        ranked = np.sort(scores, axis=-1)
-    k = np.minimum(k, context)
-    rank = np.minimum(context - k, context - 1)[..., None]
-    kth = np.take_along_axis(ranked, rank, axis=-1)
-    mask = scores >= kth
-    excess = np.count_nonzero(mask, axis=-1) - k
-    spill = excess > 0
-    if spill.any():
-        tied = scores[spill] == kth[spill]
-        room = (np.count_nonzero(tied, axis=-1) - excess[spill])[:, None]
-        # A running count of ties never exceeds the row length.
-        seen = np.cumsum(tied, axis=-1, dtype=np.min_scalar_type(context))
-        mask[spill] &= ~tied | (seen <= room)
-    return mask
 
 
 def _retain(

@@ -51,16 +51,9 @@ def score_heads(
     Each step is scored against the span of its own word; steps not aligned
     to any word are ignored. An empty map yields a zero matrix.
 
-    The top-k of every row of a step is ranked here from one value sort: the
-    kth-largest value splits each row into the entries above it, which are
-    all kept, and the ties at it, of which the first `room` are kept, so the
-    set is a stable descending argsort's first k. Hits are counted per span
-    without building that set. Whether the ties spill past the top k shows
-    in the sort, as a tie just below the kth slot. When no row of a step
-    spills, every tie is kept, so only the span is scanned. Otherwise `room`
-    counts the entries above the kth value in the sort's top k - 1 slots,
-    and the rows before the span are scanned for the ties that take it
-    first.
+    A step's rows are sorted once. When no row's ties spill past its top k,
+    the top k is everything at or above the kth value, so only the span is
+    compared against it; otherwise the hits are read off `topk_mask`.
     """
     shape = (trace.num_layers, trace.num_heads)
     totals = np.zeros(shape, dtype=np.float64)
@@ -76,19 +69,53 @@ def score_heads(
             k = min(cfg.k, context)
             ranked = np.sort(rows, axis=-1)
             kth = ranked[..., context - k, None]
-            inside = rows[..., lo:hi]
             if k < context and np.any(ranked[..., context - k - 1, None] == kth):
-                room = k - np.count_nonzero(ranked[..., context - k + 1 :] > kth, axis=-1)
-                tied_before = np.count_nonzero(rows[..., :lo] == kth, axis=-1)
-                hits = np.count_nonzero(inside > kth, axis=-1) + np.clip(
-                    room - tied_before, 0, np.count_nonzero(inside == kth, axis=-1)
-                )
+                hits = np.count_nonzero(topk_mask(rows, k, ranked)[..., lo:hi], axis=-1)
             else:
-                hits = np.count_nonzero(inside >= kth, axis=-1)
+                hits = np.count_nonzero(rows[..., lo:hi] >= kth, axis=-1)
             totals += hits / cfg.k
             num_samples += 1
     scores = totals / num_samples if num_samples else totals
     return HeadScoreMatrix(scores=scores, num_samples=num_samples)
+
+
+def topk_mask(
+    scores: np.ndarray, k: np.ndarray | int, ranked: np.ndarray | None = None
+) -> np.ndarray:
+    """True at the k highest scores of each row, ties going to the lower index.
+
+    This is the one top-k rule: head scoring, every selector, the oracle
+    overlap and the pyramid schedule's leftover slots all rank with it.
+    `k` (>= 0) broadcasts against the rows. `ranked` is the value sort of
+    `scores` along the last axis; callers ranking one array under several k
+    sort it once and pass it in. Each row keeps everything above its
+    kth-largest value, then the first of the entries equal to it. One
+    compare does that, except in the rows whose ties at the kth value spill
+    past the top k: k is 0, or the sorted value just below the kth slot is
+    the same. Only those rows are scanned again.
+    """
+    context = scores.shape[-1]
+    if context == 0:
+        return np.zeros(scores.shape, dtype=bool)
+    if ranked is None:
+        ranked = np.sort(scores, axis=-1)
+    k = np.minimum(k, np.full(scores.shape[:-1], context))
+    # The kth slot (the last when k is 0) and the one below it, which wraps
+    # round when k is the context, where nothing spills.
+    slots = np.minimum(context - k, context - 1).reshape(-1, 1) - np.array([1, 0])
+    flat = ranked.reshape(-1, context)
+    below, kth = flat[np.arange(len(flat))[:, None], slots].T.reshape(2, *k.shape)
+    spill = (k == 0) | ((k < context) & (below == kth))
+    kth = kth[..., None]
+    mask = scores >= kth
+    if spill.any():
+        rows, at = scores[spill], kth[spill]
+        above, tied = rows > at, rows == at
+        room = (k[spill] - np.count_nonzero(above, axis=-1))[:, None]
+        # A running count of ties never exceeds the row length.
+        seen = np.cumsum(tied, axis=-1, dtype=np.min_scalar_type(context))
+        mask[spill] = above | (tied & (seen <= room))
+    return mask
 
 
 def save_scores(matrix: HeadScoreMatrix, path: str | Path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from .eviction import (
     select,
     summed_attention,
 )
-from .heads import HeadScoreMatrix
+from .heads import HeadScoreMatrix, topk_mask
 from .spectral import SssConfig
 from .trace import AttentionTrace
 
@@ -137,43 +138,50 @@ def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) 
     """
     boundary = find_eviction_step(trace, result.context_length)
     future = aggregate_future_attention(trace, boundary, horizon, result.context_length)
-    return _overlap(result, _descending_ranks(future.aggregated))
+    return _overlap(result, future.aggregated, None)
 
 
-def _descending_ranks(values: np.ndarray) -> np.ndarray:
-    """Each entry's place in its row sorted by descending value, ties going
-    to the lower index: `ranks < k` is `topk_mask(values, k)` for every k."""
-    order = np.argsort(-values, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(values.shape[-1]), axis=-1)
-    return ranks
-
-
-def _overlap(result: EvictionResult, future_ranks: np.ndarray) -> float:
-    """`oracle_overlap` against the held-out aggregate's `_descending_ranks`.
-
-    Ranking the future once serves every set size: a head's oracle set is
-    the entries ranked below the number it retained.
+def _overlap(result: EvictionResult, future: np.ndarray, ranked: np.ndarray | None) -> float:
+    """`oracle_overlap` against the held-out aggregate `future` and its value
+    sort `ranked` (None: sorted here), which serves every set size: a head's
+    oracle set is the `topk_mask` of its future row at the number it retained.
     """
     retained = result.mask
     sizes = retained.sum(axis=-1)
-    hits = (retained & (future_ranks < sizes[..., None])).sum(axis=-1)
+    hits = (retained & topk_mask(future, sizes, ranked)).sum(axis=-1)
     overlaps = np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
     return float(np.mean(overlaps.ravel()))
 
 
 def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
-    """Mean per-head share of the window's attention mass on retained indices."""
+    """Mean per-head share of the window's attention mass on retained indices.
+
+    A head with no attention mass counts as fully retained.
+    """
     if result.shape != window.shape:
         raise DimensionMismatchError(
             f"result heads {result.shape} != window heads {window.shape}"
         )
+    layers, heads = result.shape
     context = result.context_length
-    shares = []
-    for layer_rows, layer_kept in zip(window.aggregated, result.mask):
-        for row, kept in zip(layer_rows, layer_kept):
-            total = float(row.sum())
-            shares.append(float(row[:context][kept].sum()) / total if total > 0.0 else 1.0)
+    rows = window.aggregated.reshape(layers * heads, window.context_length)
+    kept = result.mask.reshape(layers * heads, context)
+    # numpy's summation order depends on a row's length. Sorted by how many
+    # entries they keep, the heads lay out their kept values in runs of
+    # equal length, and each run is summed as one [heads, n] block: every
+    # head gets the bits its own 1-D sum would.
+    used = np.count_nonzero(kept, axis=-1)
+    order = np.argsort(used, kind="stable")
+    values = rows[order, :context][kept[order]]
+    mass = np.empty(layers * heads)
+    head = offset = 0
+    for n, run in itertools.groupby(used[order].tolist()):
+        count = len(list(run))
+        block = values[offset : offset + count * n].reshape(count, n)
+        mass[order[head : head + count]] = block.sum(axis=-1)
+        head, offset = head + count, offset + count * n
+    totals = rows.sum(axis=-1)
+    shares = np.divide(mass, totals, out=np.ones_like(mass), where=totals > 0.0)
     return float(np.mean(shares))
 
 
@@ -229,9 +237,8 @@ def run_comparison(
     The first `observation_width` steps feed the policies; every step after
     them is held out to score the results. Pairs run one after another and
     reports come back in input order. The window's scores are smoothed and
-    sorted once per distinct SSS config, and the held-out aggregate is ranked
-    once (`_descending_ranks`); every pair selects and scores its oracle
-    overlap against those.
+    sorted once per distinct SSS config, and the held-out aggregate is sorted
+    once; every pair selects and scores its oracle overlap against those.
     """
     if len(policies) != len(plans):
         raise ValueError("policies and plans must pair up one to one")
@@ -242,7 +249,7 @@ def run_comparison(
     window = build_observation_window(obs_trace, obs_steps)
     context = obs_trace.final_context_length
     future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
-    future_ranks = _descending_ranks(future.aggregated)
+    future_sorted = np.sort(future.aggregated, axis=-1)
     rankings = {
         sss: rank_scores(window, sss, recent)
         for sss in dict.fromkeys(p.sss for p in policies if p.selector == "audiokv")
@@ -259,7 +266,7 @@ def run_comparison(
             RetentionReport(
                 policy_name=policy.name,
                 retention_ratio=float(result.mask.mean()),
-                oracle_overlap=_overlap(result, future_ranks),
+                oracle_overlap=_overlap(result, future.aggregated, future_sorted),
                 coverage_entropy=coverage_entropy(result),
                 mass_retained=retained_mass(result, future),
                 memory_bytes=memory_footprint(result, geom),

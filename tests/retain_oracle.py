@@ -5,10 +5,11 @@ shipped: `retain_for_head` keeps one head's recent window plus its top-scored
 older positions, and `sss` smooths one signal with a searchsorted energy
 cutoff and a mask built slice by slice. The `select_*` helpers apply them head
 by head, `select_adakv` lexsorts each layer's pooled (score, head, index)
-triples, and `oracle_overlap` / `coverage_entropy` score one head at a time
-with sets and `np.histogram`, so tests can require the batched code to match
-them exactly. `topk_mask` is the batched ranking sorting its own rows, so a
-precomputed sort passed to the real one can be checked against it.
+triples, and `oracle_overlap` / `coverage_entropy` / `retained_mass` score
+one head at a time with sets, `np.histogram` and 1-D sums, so tests can
+require the batched code to match them exactly. `topk_mask` is the batched
+ranking sorting its own rows, so a precomputed sort passed to the real one
+can be checked against it.
 `result_file_bytes` is the result writer as it was, `json.dumps` of the
 payload with every retained index as a Python int.
 """
@@ -178,6 +179,17 @@ def oracle_overlap(retained, future):
             oracle = set(order[: len(kept)].tolist())
             overlaps.append(len(oracle.intersection(kept.tolist())) / len(oracle))
     return float(np.mean(overlaps))
+
+
+def retained_mass(result, window):
+    """Mean per-head share of the window's mass on the retained indices."""
+    context = result.context_length
+    shares = []
+    for layer_rows, layer_kept in zip(window.aggregated, result.mask):
+        for row, kept in zip(layer_rows, layer_kept):
+            total = float(row.sum())
+            shares.append(float(row[:context][kept].sum()) / total if total > 0.0 else 1.0)
+    return float(np.mean(shares))
 
 
 def coverage_entropy(retained, context, bins):

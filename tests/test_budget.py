@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from audiokv.budget import (
@@ -144,6 +144,18 @@ def looped_capacities(scores, budget, window, base, mode):
     return np.array(caps).reshape(layers, heads)
 
 
+def argsort_schedule(num_layers, per_layer_budget, decay):
+    """`pyramid_schedule` with its leftover slots handed out by a stable
+    argsort of the negated remainders: the reference for `topk_mask`."""
+    total = num_layers * per_layer_budget
+    weights = np.array([decay**i for i in range(num_layers)], dtype=np.float64)
+    raw = total * weights / weights.sum()
+    floors = np.floor(raw).astype(np.int64)
+    order = np.argsort(-(raw - floors), kind="stable")
+    floors[order[: total - int(floors.sum())]] += 1
+    return [int(v) for v in floors]
+
+
 @st.composite
 def allocation_cases(draw):
     layers, heads = draw(st.integers(1, 4)), draw(st.integers(1, 8))
@@ -227,6 +239,22 @@ class TestPyramidSchedule:
             totals = pyramid_schedule(layers, per_layer, decay)
             assert sum(totals) == layers * per_layer
             assert all(a >= b for a, b in zip(totals, totals[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layers=st.integers(1, 40),
+        per_layer=st.integers(1, 10**6) | st.integers(1, 60),
+        decay=st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1 / 3, 0.6, 0.8, 1.0]),
+    )
+    @example(layers=2, per_layer=1, decay=1 / 3)
+    @example(layers=4, per_layer=5, decay=1 / 3)
+    def test_matches_the_stable_argsort_oracle(self, layers, per_layer, decay):
+        # A decay of 1/3 over 2 or 4 layers, or 0.6 over 2, can tie the
+        # remainders that compete for the last leftover slot, as in both
+        # examples; the earlier layer must win.
+        assert pyramid_schedule(layers, per_layer, decay) == argsort_schedule(
+            layers, per_layer, decay
+        )
 
 
 class TestPlanIo:

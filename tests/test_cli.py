@@ -205,6 +205,25 @@ class TestAllocateCmd:
         ) == 2
 
     @pytest.mark.parametrize(
+        "sizing",
+        [
+            ["--ratio", "0.5"],
+            ["--context-length", "549"],
+            ["--ratio", "0.5", "--context-length", "549"],
+        ],
+        ids=["ratio", "context-length", "both"],
+    )
+    def test_budget_with_ratio_or_context_length_exits_2(
+        self, fixture_dir, tmp_path, capsys, sizing
+    ):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        out = tmp_path / "p.json"
+        argv = ["allocate", "--scores", str(scores_path), "--budget", "5000", *sizing]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "not both" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "payload",
         [
             {"num_layers": 1, "num_heads": 2, "num_samples": 3},

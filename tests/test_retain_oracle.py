@@ -21,14 +21,12 @@ from audiokv.eviction import (
     select_audiokv,
     select_h2o,
     select_snapkv,
-    topk_mask,
 )
-from audiokv.heads import HeadScoreMatrix
+from audiokv.heads import HeadScoreMatrix, topk_mask
 from audiokv.metrics import (
     KvGeometry,
     PolicySpec,
     RetentionReport,
-    _descending_ranks,
     aggregate_future_attention,
     coverage_entropy,
     memory_footprint,
@@ -234,6 +232,27 @@ def test_metrics_match_per_head_oracle(data, bins):
 
 
 @PROPERTY
+@given(data=st.data(), scores=score_tensors(max_context=300), extra=st.integers(0, 3))
+def test_retained_mass_matches_per_head_oracle(data, scores, extra):
+    # Heads keep nothing, everything or a random share, so heads are grouped
+    # by every count, some past numpy's 128-entry pairwise-sum block. The
+    # window may reach `extra` positions past the result's context, and a
+    # head whose row holds no mass counts as fully retained.
+    layers, heads, width = scores.shape
+    context = max(width - extra, 0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kept = rng.random((layers, heads, context)) < data.draw(st.sampled_from([0.05, 0.5, 0.95]))
+    for head in kept.reshape(layers * heads, context):
+        kind = data.draw(st.sampled_from(["random", "empty", "full"]))
+        if kind != "random":
+            head[:] = kind == "full"
+    scores[data.draw(arrays(bool, (layers, heads)))] = 0.0
+    window = ObservationWindow(width=1, aggregated=scores)
+    result = EvictionResult(policy_name="p", mask=kept)
+    assert retained_mass(result, window).hex() == oracle.retained_mass(result, window).hex()
+
+
+@PROPERTY
 @given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40)))
 def test_future_ranks_keep_topk_mask_ties(data, shape):
     # Rows drawn from 1-4 levels tie most entries at the kth value, where the
@@ -241,9 +260,6 @@ def test_future_ranks_keep_topk_mask_ties(data, shape):
     levels = data.draw(st.lists(tied, min_size=1, max_size=4, unique=True))
     future = data.draw(arrays(np.float32, shape, elements=st.sampled_from(levels)))
     aggregated = future.astype(np.float64)
-    ranks = _descending_ranks(aggregated)
-    k = data.draw(arrays(np.int64, shape[:-1], elements=st.integers(0, shape[-1])))
-    assert np.array_equal(ranks < k[..., None], topk_mask(aggregated, k))
     kept = data.draw(arrays(bool, shape))
     sizes = kept.sum(axis=-1)
     hits = (kept & topk_mask(aggregated, sizes)).sum(axis=-1)
@@ -263,12 +279,14 @@ def test_pooling_is_bit_identical_to_np_convolve(data, width):
 
 
 @PROPERTY
-@given(data=st.data(), scores=score_tensors(min_context=0))
-def test_topk_mask_matches_full_row_oracle(data, scores):
+@given(data=st.data(), scores=score_tensors(min_context=0), ndim=st.integers(1, 3))
+def test_topk_mask_matches_full_row_oracle(data, scores, ndim):
     # Tied draws put more entries at the kth value than the row has room
-    # for, so only the first of them may be kept.
+    # for, so only the first of them may be kept. One row takes a scalar k,
+    # as the pyramid schedule's remainders do; 2-D rows are adakv's layers.
+    scores = scores[(0,) * (3 - ndim)]
     ks = st.integers(0, scores.shape[-1] + 3)
-    k = data.draw(arrays(np.int64, scores.shape[:-1], elements=ks))
+    k = data.draw(ks if ndim == 1 else arrays(np.int64, scores.shape[:-1], elements=ks))
     expected = oracle.topk_mask(scores, k)
     assert np.array_equal(topk_mask(scores, k), expected)
     assert np.array_equal(topk_mask(scores, k, np.sort(scores, axis=-1)), expected)
