@@ -17,10 +17,17 @@ import numpy as np
 
 from .budget import AllocationMode, load_plan, make_plan, save_plan
 from .errors import AudioKvError, read_json
-from .eviction import POLICIES, ObservationWindow, save_result, select
+from .eviction import (
+    DEFAULT_POOL_WIDTH,
+    DEFAULT_RECENT,
+    POLICIES,
+    ObservationWindow,
+    save_result,
+    select,
+)
 from .fixtures import PROFILES, generate_fixture
-from .heads import HeadScoreMatrix, TopKConfig, load_scores, save_scores, score_heads
-from .metrics import KvGeometry, compare_grid, run_comparison, write_reports
+from .heads import DEFAULT_TOP_K, HeadScoreMatrix, TopKConfig, load_scores, save_scores, score_heads
+from .metrics import compare_grid, run_comparison, write_reports
 from .spectral import SssConfig, smooth_rows
 from .trace import (
     align_generated_to_words,
@@ -37,11 +44,11 @@ from .trace import (
 @dataclass(frozen=True)
 class RunConfig:
     tau: float = 0.95
-    top_k: int = 24
-    window: int = 32
+    top_k: int = DEFAULT_TOP_K
+    window: int = DEFAULT_RECENT
     base_fraction: float = 0.5
-    cutoff_ratio: float = 0.7
-    mix_alpha: float = 0.5
+    cutoff_ratio: float = SssConfig.cutoff_ratio
+    mix_alpha: float = SssConfig.mix_alpha
     retention_ratios: tuple[float, ...] = (0.4, 0.6, 0.8)
 
     def sss(self) -> SssConfig:
@@ -259,12 +266,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         trace, scores, cfg.retention_ratios, cfg.window, cfg.base_fraction, cfg.sss()
     )
     reports = run_comparison(
-        trace,
-        policies,
-        plans,
-        KvGeometry(),
-        observation_width=cfg.window,
-        recent=cfg.window,
+        trace, policies, plans, observation_width=cfg.window, recent=cfg.window
     )
     write_reports(reports, args.out, args.json)
     print(f"wrote {len(reports)} report rows to {args.out}")
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_numeral, default=0.4)
     p.add_argument("--scores", default=None)
     p.add_argument("--plan", default=None)
-    p.add_argument("--pool-width", dest="pool_width", type=_numeral, default=7)
+    p.add_argument("--pool-width", dest="pool_width", type=_numeral, default=DEFAULT_POOL_WIDTH)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     add_settings(p, "window", "base_fraction", "cutoff_ratio", "mix_alpha")

@@ -24,6 +24,7 @@ import numpy as np
 from .budget import BudgetPlan, make_plan
 from .errors import DimensionMismatchError, HorizonError
 from .eviction import (
+    DEFAULT_RECENT,
     POLICIES,
     EvictionResult,
     ObservationWindow,
@@ -94,7 +95,9 @@ def compare_grid(
 
     A ratio's budget is layers·heads·int(ratio·context) at the eviction
     boundary of an `observation_width` of `window`; the rows of one plan
-    mode share one `make_plan`, and the rows that smooth use `sss`.
+    mode share one `make_plan`, and the rows that smooth use `sss`. Each row
+    takes its plan mode and SSS from `POLICIES` and runs the audiokv
+    selector, so the `snapkv` row ranks the window's scores unpooled.
     """
     context = trace.steps[eviction_boundary(trace, window) - 1].context_length
     layers, heads = scores.shape
@@ -105,7 +108,7 @@ def compare_grid(
         plan_of = {mode: make_plan(scores, budget, mode, window, base_fraction) for mode in modes}
         for name in COMPARE_GRID:
             policy = POLICIES[name]
-            policies.append(PolicySpec(name, policy.selector, sss if policy.smooth else None))
+            policies.append(PolicySpec(name, sss=sss if policy.smooth else None))
             plans.append(plan_of[policy.mode])
     return policies, plans
 
@@ -153,33 +156,41 @@ def _overlap(result: EvictionResult, future: np.ndarray, ranked: np.ndarray | No
     return float(np.mean(overlaps.ravel()))
 
 
+def _head_sums(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Each row's sum of its `kept` entries, in index order.
+
+    numpy's summation order depends on a row's length. Sorted by how many
+    entries they keep, the rows lay out their kept values in runs of equal
+    length, and each run is summed as one [rows, n] block: every row gets the
+    bits its own 1-D `np.sum` would. A row that keeps nothing sums to 0.
+    """
+    used = np.count_nonzero(kept, axis=-1)
+    order = np.argsort(used, kind="stable")
+    values = values[order][kept[order]]
+    sums = np.empty(len(used))
+    row = offset = 0
+    for n, run in itertools.groupby(used[order].tolist()):
+        count = len(list(run))
+        block = values[offset : offset + count * n].reshape(count, n)
+        sums[order[row : row + count]] = block.sum(axis=-1)
+        row, offset = row + count, offset + count * n
+    return sums
+
+
 def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
     """Mean per-head share of the window's attention mass on retained indices.
 
-    A head with no attention mass counts as fully retained.
+    A head with no attention mass counts as fully retained. The window may
+    reach past the result's context, not fall short of it.
     """
-    if result.shape != window.shape:
+    if result.shape != window.shape or window.context_length < result.context_length:
         raise DimensionMismatchError(
-            f"result heads {result.shape} != window heads {window.shape}"
+            f"result {result.mask.shape} does not fit window {window.aggregated.shape}"
         )
     layers, heads = result.shape
     context = result.context_length
     rows = window.aggregated.reshape(layers * heads, window.context_length)
-    kept = result.mask.reshape(layers * heads, context)
-    # numpy's summation order depends on a row's length. Sorted by how many
-    # entries they keep, the heads lay out their kept values in runs of
-    # equal length, and each run is summed as one [heads, n] block: every
-    # head gets the bits its own 1-D sum would.
-    used = np.count_nonzero(kept, axis=-1)
-    order = np.argsort(used, kind="stable")
-    values = rows[order, :context][kept[order]]
-    mass = np.empty(layers * heads)
-    head = offset = 0
-    for n, run in itertools.groupby(used[order].tolist()):
-        count = len(list(run))
-        block = values[offset : offset + count * n].reshape(count, n)
-        mass[order[head : head + count]] = block.sum(axis=-1)
-        head, offset = head + count, offset + count * n
+    mass = _head_sums(rows[:, :context], result.mask.reshape(layers * heads, context))
     totals = rows.sum(axis=-1)
     shares = np.divide(mass, totals, out=np.ones_like(mass), where=totals > 0.0)
     return float(np.mean(shares))
@@ -188,7 +199,9 @@ def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
 def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     """Mean per-head Shannon entropy (nats) of retained indices over equal bins.
 
-    Each bin's counts are one scan of that bin's columns of the mask.
+    Each bin's counts are one scan of that bin's columns of the mask. A head
+    scores minus the sum of its `p·log p` terms over its occupied bins, in bin
+    order, as its own 1-D `np.sum` would; a head that keeps nothing scores 0.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
@@ -204,17 +217,9 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
         axis=-1,
     )
     occupied = counts > 0
-    used = occupied.sum(axis=-1)
-    # numpy's summation order depends on a row's length, so heads are summed
-    # in groups that fill the same number of bins, in bin order: each gets the
-    # bits its own 1-D -np.sum(p * np.log(p)) would. Empty heads score 0.
-    entropies = np.zeros(layers * heads)
-    for n in np.unique(used[used > 0]):
-        group = used == n
-        kept = counts[group][occupied[group]].reshape(-1, n)
-        p = kept / kept.sum(axis=-1, keepdims=True)
-        entropies[group] = -np.sum(p * np.log(p), axis=-1)
-    return float(np.mean(entropies))
+    p = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
+    terms = p * np.log(p, out=np.zeros_like(p), where=occupied)
+    return float(np.mean(-_head_sums(terms, occupied)))
 
 
 def memory_footprint(result: EvictionResult, geom: KvGeometry) -> int:
@@ -229,8 +234,8 @@ def run_comparison(
     plans: list[BudgetPlan],
     geom: KvGeometry = KvGeometry(),
     *,
-    observation_width: int = 32,
-    recent: int = 32,
+    observation_width: int = DEFAULT_RECENT,
+    recent: int = DEFAULT_RECENT,
 ) -> list[RetentionReport]:
     """Replay the trace once per (policy, plan) pair, in the order given.
 
@@ -256,11 +261,9 @@ def run_comparison(
     }
     reports = []
     for policy, plan in zip(policies, plans):
-        # Rows differ only in plan, selector and SSS: every row ranks the
-        # unpooled window scores, so snapkv pools over width 1 (a no-op).
         result = select(
-            policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent, 1,
-            rankings.get(policy.sss),
+            policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent,
+            pool_width=1, ranking=rankings.get(policy.sss),
         )
         reports.append(
             RetentionReport(

@@ -23,7 +23,7 @@ import os
 import re
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -95,14 +95,7 @@ class AttentionTrace:
         """Sub-trace containing the first num_steps decoding steps."""
         if not 1 <= num_steps <= self.num_steps:
             raise ValueError(f"num_steps must be in [1, {self.num_steps}]")
-        return AttentionTrace(
-            num_layers=self.num_layers,
-            num_heads=self.num_heads,
-            steps=self.steps[:num_steps],
-            audio_start=self.audio_start,
-            num_audio_tokens=self.num_audio_tokens,
-            total_duration_s=self.total_duration_s,
-        )
+        return replace(self, steps=self.steps[:num_steps])
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from audiokv.budget import BudgetPlan
+from audiokv.budget import AllocationMode, BudgetPlan
 from audiokv.errors import CapacityBelowRecentError, DimensionMismatchError, FormatError
 from audiokv.eviction import (
     POLICIES,
     ObservationWindow,
+    Policy,
     build_observation_window,
     select,
     select_adakv,
@@ -225,6 +227,18 @@ class TestSelectAdakv:
         for layer, budget in enumerate(budgets):
             alone = ObservationWindow(width=1, aggregated=window.aggregated[layer : layer + 1])
             assert np.array_equal(result.mask[layer], select_adakv(alone, int(budget), 2).mask[0])
+
+
+def test_readme_policy_table_is_the_policy_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| name | plan mode | selector | SSS |") :].splitlines()
+    table = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        name, mode, selector, sss = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        table[name] = Policy(AllocationMode(mode), selector, {"yes": True, "no": False}[sss])
+    assert table == POLICIES
 
 
 class TestSelect:

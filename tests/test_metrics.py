@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 from audiokv.budget import BudgetPlan
-from audiokv.errors import HorizonError
-from audiokv.eviction import EvictionResult, ObservationWindow, build_observation_window
+from audiokv.errors import DimensionMismatchError, HorizonError
+from audiokv.eviction import (
+    EvictionResult,
+    ObservationWindow,
+    build_observation_window,
+    select,
+    select_snapkv,
+)
 from audiokv.fixtures import generate_fixture
+from audiokv.heads import TopKConfig, score_heads
 from audiokv.metrics import (
+    COMPARE_GRID,
     KvGeometry,
     PolicySpec,
+    compare_grid,
     coverage_entropy,
+    eviction_boundary,
     memory_footprint,
     oracle_overlap,
     reports_to_csv,
@@ -16,7 +26,8 @@ from audiokv.metrics import (
     run_comparison,
     write_reports,
 )
-from audiokv.trace import AttentionTrace, DecodingStep
+from audiokv.spectral import SssConfig
+from audiokv.trace import AttentionTrace, DecodingStep, align_generated_to_words, filter_words
 
 
 def result_of(retained, context, policy="test"):
@@ -93,6 +104,12 @@ class TestRetainedMass:
         window = ObservationWindow(width=1, aggregated=np.zeros((1, 1, 4)))
         result = result_of([[[1]]], context=4)
         assert retained_mass(result, window) == 1.0
+
+    def test_window_narrower_than_the_result_raises(self):
+        window = ObservationWindow(width=1, aggregated=np.full((1, 2, 4), 0.25))
+        result = EvictionResult("p", np.ones((1, 2, 6), dtype=bool))
+        with pytest.raises(DimensionMismatchError):
+            retained_mass(result, window)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(0)
@@ -215,6 +232,27 @@ class TestRunComparison:
         assert overlaps == sorted(overlaps)
         assert masses == sorted(masses)
         assert reports[-1].oracle_overlap == 1.0
+
+
+def test_compare_grid_rows_run_the_audiokv_selector():
+    # The snapkv row ranks the window's unpooled scores: it keeps what
+    # select_snapkv keeps at pool width 1.
+    fixture = generate_fixture("spike-plateau", 7)
+    trace = fixture.trace
+    words = filter_words(fixture.words, 0.95)
+    mapping = align_generated_to_words(list(trace.steps), words)
+    scores = score_heads(trace, words, mapping, TopKConfig(24))
+    policies, plans = compare_grid(trace, scores, (0.4, 0.6, 0.8), 32, 0.5, SssConfig())
+    assert [p.name for p in policies] == list(COMPARE_GRID) * 3
+    assert {p.selector for p in policies} == {"audiokv"}
+    obs_steps = eviction_boundary(trace, 32)
+    window = build_observation_window(trace.prefix(obs_steps), obs_steps)
+    snapkv_rows = [(p, plan) for p, plan in zip(policies, plans) if p.name == "snapkv"]
+    assert len(snapkv_rows) == 3
+    for policy, plan in snapkv_rows:
+        result = select(policy.name, policy.selector, window, None, plan, policy.sss, 32, 1)
+        expected = select_snapkv(window, plan.capacities, 1, 32)
+        assert np.array_equal(result.mask, expected.mask)
 
 
 class TestReportOutput:

@@ -121,7 +121,7 @@ def test_select_snapkv_matches_oracle(data, pool_width):
 @PROPERTY
 @given(data=st.data(), scores=score_tensors())
 def test_compare_snapkv_row_ranks_a_read_only_window(data, scores):
-    # `run_comparison` selects its snapkv rows at pool width 1, where `_pool`
+    # `simulate --pool-width 1` selects snapkv at pool width 1, where `_pool`
     # hands back the window's own array: no selection step may write to it.
     scores.setflags(write=False)
     recent, caps = data.draw(capacities_for(scores.shape[:2], scores.shape[-1]))
