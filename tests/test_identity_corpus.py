@@ -1,0 +1,77 @@
+"""Every command's bytes on a small corpus of inputs, pinned by one digest each.
+
+A refactor that claims to keep every output byte runs this unedited. Per
+input it runs `score-heads`, `allocate` in every mode, `simulate` for every
+policy at ratio 0.4 with the scores, and `compare --json`, and hashes each
+command's exit code, stdout and written files, in command order. Paths are
+relative to the working directory, so stdout does not name the test's
+temporary directory.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from audiokv.budget import AllocationMode
+from audiokv.cli import main
+from audiokv.eviction import POLICIES
+from audiokv.fixtures import generate_fixture
+from audiokv.trace import write_alignment, write_trace
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import gen  # noqa: E402
+
+CORPUS_SHA256 = {
+    "spike-plateau-0": "e9d50aabf0d59a87f5bbfaf5f251b38e82447ff86dfecbc0a96a0f94454e1515",
+    "spike-plateau-1": "f40ad21ce19f501bbeec437e64dd4e7ff382e0a52672cd9eb14e3f77204ceda9",
+    "spike-plateau-2": "df5112d8a13633029ec4261060859b7243f49d7dafeb403624e6086301ff3a98",
+    "specialized-heads-0": "5f3b7550e069bc0da426415354a2510ac5a7599aa6de28973e5710fe8a335b14",
+    "uniform-0": "1e3d5ae19212dc4e8b4a1afd4dc83900e407919cdefabe3a2448addab6bff72b",
+    "gen-8x8-1": "7779bf10cbb5af4dad1173aeb22b8dcc033d27b68934116a631b6e75c00de988",
+}
+
+
+def write_input(name: str) -> None:
+    if name.startswith("gen-"):
+        trace, words = gen.generate(1, 8, 8)
+    else:
+        profile, seed = name.rsplit("-", 1)
+        fixture = generate_fixture(profile, int(seed))
+        trace, words = fixture.trace, fixture.words
+    write_trace(trace, Path("trace.akvt"))
+    write_alignment(words, Path("alignment.json"))
+
+
+def commands() -> list[tuple[list[str], list[str]]]:
+    """(argv, files it writes) for every command, in run order."""
+    inputs = ["--trace", "trace.akvt"]
+    runs = [(["score-heads", *inputs, "--alignment", "alignment.json", "--out", "scores.json"],
+             ["scores.json"])]
+    for mode in AllocationMode:
+        out = f"plan-{mode.value}.json"
+        runs.append((["allocate", "--scores", "scores.json", "--ratio", "0.4",
+                      "--context-length", "549", "--mode", mode.value, "--out", out], [out]))
+    for policy in POLICIES:
+        out = f"{policy}.json"
+        runs.append((["simulate", *inputs, "--policy", policy, "--ratio", "0.4",
+                      "--scores", "scores.json", "--out", out], [out]))
+    runs.append((["compare", *inputs, "--alignment", "alignment.json", "--out", "report.csv",
+                  "--json", "report.json"], ["report.csv", "report.json"]))
+    return runs
+
+
+@pytest.mark.parametrize("name", list(CORPUS_SHA256))
+def test_corpus_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_input(name)
+    digest = hashlib.sha256()
+    for argv, written in commands():
+        code = main(argv)
+        digest.update(f"{' '.join(argv)} exit {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+        for path in written:
+            digest.update(Path(path).read_bytes() if Path(path).exists() else b"(not written)")
+    assert digest.hexdigest() == CORPUS_SHA256[name]
