@@ -44,6 +44,15 @@ class BudgetPlan:
     def total(self) -> int:
         return int(self.capacities.sum())
 
+    def summary(self) -> dict:
+        """The plan without its capacities, as plan and result files record it."""
+        return dict(window=self.window, base=self.base, budget=self.global_budget, mode=self.mode)
+
+
+def budget_at_ratio(ratio: float, context: int, num_heads_total: int) -> int:
+    """`ratio` of a `context`-long cache in every head: num_heads_total·int(ratio·context)."""
+    return num_heads_total * int(ratio * context)
+
 
 def resolve_base_tokens(budget: int, num_heads_total: int, base_fraction: float) -> int:
     """Uniform base allocation in tokens: a fraction of the per-head even share."""
@@ -160,13 +169,7 @@ def pyramid_schedule(num_layers: int, per_layer_budget: int, decay: float) -> li
 
 
 def save_plan(plan: BudgetPlan, path: str | Path) -> None:
-    payload = {
-        "window": plan.window,
-        "base": plan.base,
-        "budget": plan.global_budget,
-        "mode": plan.mode,
-        "capacities": plan.capacities.tolist(),
-    }
+    payload = {**plan.summary(), "capacities": plan.capacities.tolist()}
     Path(path).write_text(json.dumps(payload, indent=1))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import AllocationMode, load_plan, make_plan, save_plan
+from .budget import AllocationMode, budget_at_ratio, load_plan, make_plan, save_plan
 from .errors import AudioKvError, read_json
 from .eviction import (
     DEFAULT_POOL_WIDTH,
@@ -202,7 +202,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     if args.budget is not None and sized == (None, None):
         budget = args.budget
     elif args.budget is None and None not in sized:
-        budget = n * int(args.ratio * args.context_length)
+        budget = budget_at_ratio(args.ratio, args.context_length, n)
     else:
         raise AudioKvError("provide --budget, or --ratio with --context-length, not both")
     if budget > n * _MAX_COUNT:
@@ -242,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             scores = load_scores(args.scores)
         else:  # uniform and pyramid plans read only the number of heads
             scores = HeadScoreMatrix(np.zeros(window.shape), num_samples=0)
-        budget = int(args.ratio * context) * n
+        budget = budget_at_ratio(args.ratio, context, n)
         plan = make_plan(scores, budget, policy.mode, cfg.window, cfg.base_fraction)
     else:
         raise AudioKvError(f"policy {args.policy} needs head scores: pass --scores or --plan")

@@ -116,6 +116,11 @@ def summed_attention(steps: Sequence[DecodingStep], context: int) -> np.ndarray:
     return summed.total
 
 
+def _evictable(context: int, recent: int) -> int:
+    """How many positions precede the recent block, which is always kept."""
+    return context - min(recent, context)
+
+
 def _retain(
     scores: np.ndarray,
     capacities: np.ndarray | int,
@@ -135,9 +140,8 @@ def _retain(
         raise CapacityBelowRecentError(
             f"capacity {capacities.min()} < recent window {recent}"
         )
-    kept_recent = min(recent, context)
-    boundary = context - kept_recent
-    fill = np.minimum(capacities, context) - kept_recent
+    boundary = _evictable(context, recent)
+    fill = np.minimum(capacities, context) - (context - boundary)
     mask = np.ones((layers, heads, context), dtype=bool)
     mask[..., :boundary] = topk_mask(scores[..., :boundary], fill, ranked)
     return mask
@@ -190,7 +194,7 @@ def rank_scores(
     plans builds them once and passes them to `select_audiokv` as `ranking`.
     """
     scores = window.aggregated
-    boundary = max(window.context_length - recent, 0)
+    boundary = _evictable(window.context_length, recent)
     if sss_cfg is not None and boundary > 0:
         # Only the evictable prefix is scored, so only it is smoothed; the
         # unconditionally kept recent block would otherwise bleed into its
@@ -262,9 +266,8 @@ def select_adakv(
         raise CapacityBelowRecentError(
             f"layer budget {layer_budget.min()} < {heads} heads x recent {recent}"
         )
-    kept_recent = min(recent, context)
-    boundary = context - kept_recent
-    pool = layer_budget - heads * kept_recent
+    boundary = _evictable(context, recent)
+    pool = layer_budget - heads * (context - boundary)
     older = window.aggregated[..., :boundary].reshape(layers, heads * boundary)
     mask = np.ones((layers, heads, context), dtype=bool)
     mask[..., :boundary] = topk_mask(older, pool).reshape(layers, heads, boundary)
@@ -332,14 +335,7 @@ def save_result(result: EvictionResult, path: str | Path) -> None:
     payload = {
         "policy": result.policy_name,
         "context_length": result.context_length,
-        "plan": None
-        if result.plan is None
-        else {
-            "window": result.plan.window,
-            "base": result.plan.base,
-            "budget": result.plan.global_budget,
-            "mode": result.plan.mode,
-        },
+        "plan": None if result.plan is None else result.plan.summary(),
     }
     digits = np.array([str(i).encode() for i in range(result.context_length)], dtype=object)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetPlan, make_plan
+from .budget import BudgetPlan, budget_at_ratio, make_plan
 from .errors import DimensionMismatchError, HorizonError
 from .eviction import (
     DEFAULT_RECENT,
@@ -74,13 +74,15 @@ class PolicySpec:
     sss: SssConfig | None = None
 
 
-def eviction_boundary(trace: AttentionTrace, observation_width: int) -> int:
-    """How many steps precede the eviction boundary: `observation_width`,
-    cut so that at least one step is left for the held-out future."""
+def eviction_boundary(trace: AttentionTrace, observation_width: int) -> tuple[int, int]:
+    """How many steps precede the eviction boundary, `observation_width` cut to
+    leave at least one for the held-out future, and the last one's context,
+    which the policies select from and the future is cut at. `simulate`
+    observes `min(window, steps)` steps instead: it holds out no future."""
     obs_steps = min(observation_width, trace.num_steps - 1)
     if obs_steps < 1:
         raise HorizonError("trace too short to split into observation and future")
-    return obs_steps
+    return obs_steps, trace.steps[obs_steps - 1].context_length
 
 
 def compare_grid(
@@ -93,18 +95,17 @@ def compare_grid(
 ) -> tuple[list[PolicySpec], list[BudgetPlan]]:
     """`run_comparison`'s `COMPARE_GRID` rows at each ratio, and their plans.
 
-    A ratio's budget is layers·heads·int(ratio·context) at the eviction
-    boundary of an `observation_width` of `window`; the rows of one plan
-    mode share one `make_plan`, and the rows that smooth use `sss`. Each row
-    takes its plan mode and SSS from `POLICIES` and runs the audiokv
-    selector, so the `snapkv` row ranks the window's scores unpooled.
+    A ratio's budget is `budget_at_ratio` at the context of the
+    `eviction_boundary` of an `observation_width` of `window`; the rows of
+    one plan mode share one `make_plan`, and the rows that smooth use `sss`.
+    Each row takes its plan mode and SSS from `POLICIES` and runs the
+    audiokv selector, so the `snapkv` row ranks the window's scores unpooled.
     """
-    context = trace.steps[eviction_boundary(trace, window) - 1].context_length
-    layers, heads = scores.shape
+    _, context = eviction_boundary(trace, window)
     modes = dict.fromkeys(POLICIES[name].mode for name in COMPARE_GRID)
     policies, plans = [], []
     for ratio in ratios:
-        budget = layers * heads * int(ratio * context)
+        budget = budget_at_ratio(ratio, context, scores.scores.size)
         plan_of = {mode: make_plan(scores, budget, mode, window, base_fraction) for mode in modes}
         for name in COMPARE_GRID:
             policy = POLICIES[name]
@@ -249,10 +250,9 @@ def run_comparison(
         raise ValueError("policies and plans must pair up one to one")
     if not policies:
         return []
-    obs_steps = eviction_boundary(trace, observation_width)
+    obs_steps, context = eviction_boundary(trace, observation_width)
     obs_trace = trace.prefix(obs_steps)
     window = build_observation_window(obs_trace, obs_steps)
-    context = obs_trace.final_context_length
     future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
     future_sorted = np.sort(future.aggregated, axis=-1)
     rankings = {

@@ -245,7 +245,7 @@ def test_compare_grid_rows_run_the_audiokv_selector():
     policies, plans = compare_grid(trace, scores, (0.4, 0.6, 0.8), 32, 0.5, SssConfig())
     assert [p.name for p in policies] == list(COMPARE_GRID) * 3
     assert {p.selector for p in policies} == {"audiokv"}
-    obs_steps = eviction_boundary(trace, 32)
+    obs_steps, _ = eviction_boundary(trace, 32)
     window = build_observation_window(trace.prefix(obs_steps), obs_steps)
     snapkv_rows = [(p, plan) for p, plan in zip(policies, plans) if p.name == "snapkv"]
     assert len(snapkv_rows) == 3
