@@ -176,8 +176,8 @@ def save_plan(plan: BudgetPlan, path: str | Path) -> None:
 def load_plan(path: str | Path) -> BudgetPlan:
     """Read a plan file back. Capacities, window, base and budget must be JSON
     integers: a fractional (or float-valued) one is a FormatError, not
-    truncated. The budget must equal the capacities' sum, and the mode must
-    name an AllocationMode."""
+    truncated, and none may be negative. The budget must equal the
+    capacities' sum, and the mode must name an AllocationMode."""
     payload = read_json(path)
     try:
         capacities = np.asarray(payload["capacities"])
@@ -195,6 +195,8 @@ def load_plan(path: str | Path) -> BudgetPlan:
         raise FormatError(f"{path}: bad plan file: {exc!r}") from exc
     if capacities.ndim != 2:
         raise DimensionMismatchError(f"{path}: capacities must be a 2-D matrix")
+    if min(plan.window, plan.base, capacities.min(initial=0)) < 0:
+        raise FormatError(f"{path}: window, base and capacities must be >= 0")
     if plan.total != plan.global_budget:
         raise FormatError(f"{path}: budget {plan.global_budget} != capacities' sum {plan.total}")
     return plan

@@ -55,6 +55,10 @@ class RunConfig:
         return SssConfig(cutoff_ratio=self.cutoff_ratio, mix_alpha=self.mix_alpha)
 
 
+# `simulate --ratio`'s default, read only when no `--plan` fixes the budget.
+_SIMULATE_RATIO = 0.4
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """`--config`'s settings, checked as the file is read, under the setting flags."""
     values = {}
@@ -223,10 +227,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     The window is the first `min(window, steps)` steps. One pass over the
     mapped trace validates every step, those after the window too, and sums
-    the window's steps as it goes; an error names the first bad step.
+    the window's steps as it goes; an error names the first bad step. A
+    `--plan` fixes the budget and the window, so it takes no `--scores` or
+    `--ratio`, and its window must be the run's.
     """
     cfg = _config_from_args(args)
     policy = POLICIES[args.policy]
+    if args.plan and (args.scores or args.ratio is not None):
+        raise AudioKvError(f"--plan {args.plan} fixes the budget: drop --scores and --ratio")
     trace = map_trace(args.trace)
     obs_steps = min(cfg.window, trace.num_steps)
     (summed,) = validate_trace(trace, [(0, obs_steps)])
@@ -237,12 +245,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.plan:
         plan = load_plan(args.plan)
+        if plan.window != cfg.window:
+            raise AudioKvError(f"{args.plan}: plan window {plan.window} != run window {cfg.window}")
     elif args.scores or policy.mode is not AllocationMode.COMBINED:
         if args.scores:
             scores = load_scores(args.scores)
         else:  # uniform and pyramid plans read only the number of heads
             scores = HeadScoreMatrix(np.zeros(window.shape), num_samples=0)
-        budget = budget_at_ratio(args.ratio, context, n)
+        budget = budget_at_ratio(_SIMULATE_RATIO if args.ratio is None else args.ratio, context, n)
         plan = make_plan(scores, budget, policy.mode, cfg.window, cfg.base_fraction)
     else:
         raise AudioKvError(f"policy {args.policy} needs head scores: pass --scores or --plan")
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(POLICIES),
     )
-    p.add_argument("--ratio", type=_numeral, default=0.4)
+    p.add_argument("--ratio", type=_numeral, default=None)
     p.add_argument("--scores", default=None)
     p.add_argument("--plan", default=None)
     p.add_argument("--pool-width", dest="pool_width", type=_numeral, default=DEFAULT_POOL_WIDTH)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiokv.budget import AllocationMode, load_plan
-from audiokv.cli import main
+from audiokv.cli import _NUMBERS, main
 from audiokv.errors import FormatError
 from audiokv.eviction import POLICIES, load_result
 from audiokv.heads import load_scores
@@ -400,6 +401,8 @@ class TestSimulateCmd:
     # A plan `simulate --plan` runs on the 2x4-head fixture; each malformed
     # case below breaks one field of it.
     PLAN = {"window": 32, "base": 0, "budget": 400, "mode": "uniform", "capacities": [[50] * 4] * 2}
+    # PLAN's capacities with one head at -100 and another raised by 150, so the sum still matches.
+    NEGATIVE_CAPACITY = [[-100, 200, 50, 50], [50] * 4]
 
     @pytest.mark.parametrize("width", ["0", "-1", "2", "10000"])
     def test_bad_pool_width_exits_2(self, fixture_dir, tmp_path, capsys, width):
@@ -429,6 +432,9 @@ class TestSimulateCmd:
             {**PLAN, "window": True},
             {**PLAN, "budget": 401},
             {**PLAN, "mode": 5},
+            {**PLAN, "capacities": NEGATIVE_CAPACITY},
+            {**PLAN, "window": -1},
+            {**PLAN, "base": -1},
         ],
         ids=[
             "missing-capacities",
@@ -443,6 +449,9 @@ class TestSimulateCmd:
             "window-bool",
             "budget-not-the-capacities-sum",
             "mode-unknown",
+            "capacity-negative",
+            "window-negative",
+            "base-negative",
         ],
     )
     def test_malformed_plan_file_exits_2(self, fixture_dir, tmp_path, capsys, payload):
@@ -463,6 +472,51 @@ class TestSimulateCmd:
         )
         assert code == 2
         assert "plan.json" in capsys.readouterr().err
+
+    def test_negative_capacity_plan_exits_2_under_adakv(self, fixture_dir, tmp_path, capsys):
+        # adakv checks only each layer's total, which the negative head leaves at 200.
+        plan_path, out = tmp_path / "plan.json", tmp_path / "r.json"
+        plan_path.write_text(json.dumps({**self.PLAN, "capacities": self.NEGATIVE_CAPACITY}))
+        assert simulate(fixture_dir, out, "adakv", "--plan", str(plan_path)) == 2
+        assert "plan.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra", [("--scores", None), ("--ratio", "0.9"), ("--ratio", "0.4")],
+        ids=["scores", "ratio", "default-ratio"],
+    )
+    def test_plan_with_scores_or_ratio_exits_2(self, fixture_dir, tmp_path, capsys, extra):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        plan_path, out = tmp_path / "plan.json", tmp_path / "r.json"
+        plan_path.write_text(json.dumps(self.PLAN))
+        flag, value = extra
+        argv = ["--plan", str(plan_path), flag, value or str(scores_path)]
+        assert simulate(fixture_dir, out, "audiokv", *argv) == 2
+        assert "--plan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plan_window_must_be_the_run_window(self, fixture_dir, tmp_path, capsys):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        plan_path, out = tmp_path / "plan.json", tmp_path / "r.json"
+        assert main(
+            ["allocate", "--scores", str(scores_path), "--budget", "1600", "--mode", "uniform",
+             "--window", "8", "--out", str(plan_path)]
+        ) == 0
+        assert simulate(fixture_dir, out, "audiokv", "--plan", str(plan_path)) == 2
+        err = capsys.readouterr().err
+        assert "plan.json" in err and "window 8" in err and "window 32" in err
+        assert not out.exists()
+        assert simulate(fixture_dir, out, "audiokv", "--plan", str(plan_path), "--window", "8") == 0
+        assert json.loads(out.read_text())["plan"]["window"] == 8
+
+    def test_ratio_defaults_to_0_4(self, fixture_dir, tmp_path):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert simulate(fixture_dir, default, "audiokv", "--scores", str(scores_path)) == 0
+        assert simulate(
+            fixture_dir, explicit, "audiokv", "--scores", str(scores_path), "--ratio", "0.4"
+        ) == 0
+        assert default.read_bytes() == explicit.read_bytes()
 
 
 class TestCompareCmd:
@@ -689,6 +743,20 @@ audiokv,0.7995049505,0.8544880661,0.92460141,2.272501196,1653760
 
 def test_tie_heavy_uniform_report_bytes_are_pinned(tmp_path):
     assert compare_fixture(tmp_path, "uniform", 3) == UNIFORM_SEED_3_REPORT
+
+
+def test_readme_number_table_is_the_number_table():
+    # The backticked names outside parentheses in the first column, a flag
+    # read as its dest; each `_NUMBERS` key and `retention_ratios` once.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| flag or config field | must be |") :].splitlines()
+    listed = []
+    for line in lines[2:]:
+        if not line.strip().startswith("|"):
+            break
+        names = re.sub(r"\(.*?\)", "", line.strip().strip("|").split("|")[0])
+        listed += [name.lstrip("-").replace("-", "_") for name in re.findall(r"`([^`]+)`", names)]
+    assert sorted(listed) == sorted([*_NUMBERS, "retention_ratios"])
 
 
 def test_nan_attention_exits_2(tmp_path, capsys):
