@@ -75,3 +75,43 @@ def test_corpus_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
         for path in written:
             digest.update(Path(path).read_bytes() if Path(path).exists() else b"(not written)")
     assert digest.hexdigest() == CORPUS_SHA256[name]
+
+
+# Per corpus input: `simulate --plan` of each of its three `allocate` plans
+# under every policy, hashed as above.
+PLAN_CORPUS_SHA256 = {
+    "spike-plateau-0": "7d56e4991b8cc24d4ac9c30ca69e130ec30568d2b3fbbbd8aab14d29944fed93",
+    "spike-plateau-1": "848952776e925153c3c00ef65f27733911adc8690f4d0e7e0727d1a371aaeb16",
+    "spike-plateau-2": "e63682dc03a9d890a6f2bc5400ae462cee03b868c10750ea6b702d6a32f62b81",
+    "specialized-heads-0": "7cc0a0c1343d20b9c39d4dfa037ede20c011929d5786c02ce44ed24719a23ace",
+    "uniform-0": "6702d9e59ea9089ff10f70b4458ccf83301ddfdc1ab3054a5a52756e9481207f",
+    "gen-8x8-1": "f1b84c332faa6b400df9399381d97af04dd6492e8d3f73f69e56b535d1962345",
+}
+
+
+def plan_commands() -> list[tuple[list[str], list[str]]]:
+    """(argv, files it writes) for every policy run on every `allocate` plan of `commands()`."""
+    runs = []
+    for mode in AllocationMode:
+        for policy in POLICIES:
+            out = f"{policy}-on-{mode.value}.json"
+            runs.append((["simulate", "--trace", "trace.akvt", "--policy", policy,
+                          "--plan", f"plan-{mode.value}.json", "--out", out], [out]))
+    return runs
+
+
+@pytest.mark.parametrize("name", list(PLAN_CORPUS_SHA256))
+def test_corpus_plan_runs_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_input(name)
+    for argv, _ in commands()[: 1 + len(AllocationMode)]:
+        assert main(argv) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for argv, written in plan_commands():
+        code = main(argv)
+        digest.update(f"{' '.join(argv)} exit {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+        for path in written:
+            digest.update(Path(path).read_bytes() if Path(path).exists() else b"(not written)")
+    assert digest.hexdigest() == PLAN_CORPUS_SHA256[name]
