@@ -6,14 +6,15 @@ baselines, and the bookkeeping laws (conservation, window floor).
 
 import numpy as np
 
-from audiokv import AllocationMode, HeadScoreMatrix, make_plan, pyramid_schedule
+from audiokv import AllocationMode, HeadScoreMatrix, make_plan
+from audiokv.budget import budget_at_ratio
 
 scores = HeadScoreMatrix(
     scores=np.array([[0.50, 0.05, 0.05, 0.05], [0.05, 0.40, 0.05, 0.05]]),
     num_samples=100,
 )
 context = 500
-budget = 8 * int(0.4 * context)  # 40% retention over 8 heads
+budget = budget_at_ratio(0.4, context, scores.scores.size)  # 40% retention over 8 heads
 window = 32
 base_fraction = 0.5  # the combined plan's uniform base: half of each head's even share
 plans = {mode: make_plan(scores, budget, mode, window, base_fraction) for mode in AllocationMode}
@@ -26,6 +27,3 @@ for p in plans.values():
 print("\ncombined-mode laws:")
 print("  conserved:", plan.total == budget)
 print("  window floor:", bool(np.all(plan.capacities >= window)))
-
-print("\npyramid schedule, 6 layers x 100 tokens, decay 0.7:")
-print(" ", pyramid_schedule(6, 100, 0.7))

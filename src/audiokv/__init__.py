@@ -7,7 +7,6 @@ from .budget import (
     allocate,
     load_plan,
     make_plan,
-    pyramid_schedule,
     resolve_base_tokens,
     save_plan,
 )

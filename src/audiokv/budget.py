@@ -17,7 +17,8 @@ import numpy as np
 from .errors import BudgetTooSmallError, DimensionMismatchError, FormatError, json_int, read_json
 from .heads import HeadScoreMatrix, topk_mask
 
-DEFAULT_PYRAMID_DECAY = 0.8
+# `pyramid` gives layer i a share proportional to PYRAMID_DECAY**i.
+PYRAMID_DECAY = 0.8
 
 
 class AllocationMode(Enum):
@@ -67,6 +68,20 @@ def _even_split(totals: np.ndarray | int, parts: int) -> np.ndarray:
     return totals // parts + (np.arange(parts) < totals % parts)
 
 
+def _apportion(total: int, weights: np.ndarray, key: np.ndarray | None = None) -> np.ndarray:
+    """`total` split into integer shares in proportion to `weights`.
+
+    Each share starts at the floor of its real share. The slots the floors
+    leave go an equal part to every share, then one each to the `topk_mask`
+    of `key`, which defaults to the fractional remainders.
+    """
+    real = total * weights / weights.sum()
+    shares = np.floor(real).astype(np.int64)
+    leftover = max(total - int(shares.sum()), 0)
+    key = real - shares if key is None else key
+    return shares + leftover // len(shares) + topk_mask(key, leftover % len(shares))
+
+
 def allocate(
     scores: HeadScoreMatrix,
     budget: int,
@@ -76,15 +91,16 @@ def allocate(
 ) -> BudgetPlan:
     """Turn head scores into integer per-head capacities.
 
-    combined: cap = window + base + floor(score_budget * S / sum(S))
-              with score_budget = budget - heads * (window + base); the
-              rounding leftovers go one each to heads in descending score
-              order. A zero score sum falls back to equal scores.
+    combined: cap = window + base + the `_apportion` of
+              score_budget = budget - heads * (window + base) by the scores,
+              its leftovers going to the highest scores. A zero score sum
+              falls back to equal scores.
     uniform:  an even split of the budget, the remainder going one each to
               the lowest-indexed heads.
-    pyramid:  `pyramid_schedule` layer totals, the rest of an uneven budget
-              going one each to the widest layers, each split evenly over
-              its heads in the same way.
+    pyramid:  the `_apportion` of layers * (budget // layers) by the weights
+              PYRAMID_DECAY**layer, its leftovers going to the largest
+              remainders; the rest of an uneven budget goes one each to the
+              first layers, and each layer is split evenly over its heads.
 
     Every mode spends exactly `budget`; a head below the window raises
     BudgetTooSmallError.
@@ -103,22 +119,17 @@ def allocate(
                 f"{floor_per_head} for all {n} heads"
             )
         s = np.maximum(scores.scores.astype(np.float64), 0.0).reshape(-1)
-        total_score = float(s.sum())
-        if total_score <= 0.0:
+        if s.sum() <= 0.0:
             s = np.ones_like(s)
-            total_score = float(n)
-        shares = np.floor(score_budget * s / total_score).astype(np.int64)
-        leftover = max(score_budget - int(shares.sum()), 0)
-        # Ties in score go to the lower (layer, head).
-        shares[np.argsort(-s, kind="stable")] += _even_split(leftover, n)
-        capacities = (floor_per_head + shares).reshape(layers, heads)
+        capacities = (floor_per_head + _apportion(score_budget, s, s)).reshape(layers, heads)
     elif mode is AllocationMode.UNIFORM:
         capacities = _even_split(budget, n).reshape(layers, heads)
     elif mode is AllocationMode.PYRAMID:
         if budget < layers:
             raise BudgetTooSmallError(f"pyramid budget {budget} < one slot per layer ({layers})")
-        schedule = pyramid_schedule(layers, budget // layers, DEFAULT_PYRAMID_DECAY)
-        layer_totals = np.array(schedule, dtype=np.int64) + _even_split(budget % layers, layers)
+        weights = np.array([PYRAMID_DECAY**i for i in range(layers)])
+        layer_totals = _apportion(layers * (budget // layers), weights)
+        layer_totals += _even_split(budget % layers, layers)
         capacities = _even_split(layer_totals[:, None], heads)
     else:
         raise ValueError(f"unknown allocation mode: {mode}")
@@ -144,28 +155,6 @@ def make_plan(
     combined = mode is AllocationMode.COMBINED
     base = resolve_base_tokens(budget, scores.scores.size, base_fraction) if combined else 0
     return allocate(scores, budget, window, base, mode)
-
-
-def pyramid_schedule(num_layers: int, per_layer_budget: int, decay: float) -> list[int]:
-    """Geometrically decaying per-layer budgets, renormalized to the exact total.
-
-    Weights decay^0, decay^1, ... are scaled so the grand total equals
-    num_layers * per_layer_budget; fractional remainders are rounded with the
-    largest-remainder rule: the leftover slots go to the `topk_mask` of the
-    remainders (ties to the earlier layer).
-    """
-    if not 0.0 < decay <= 1.0:
-        raise ValueError("decay must be in (0, 1]")
-    if per_layer_budget < 1:
-        raise ValueError("per_layer_budget must be >= 1")
-    total = num_layers * per_layer_budget
-    weights = np.array([decay**i for i in range(num_layers)], dtype=np.float64)
-    raw = total * weights / weights.sum()
-    floors = np.floor(raw).astype(np.int64)
-    remainders = raw - floors
-    leftover = total - int(floors.sum())
-    floors += topk_mask(remainders, leftover)
-    return [int(v) for v in floors]
 
 
 def save_plan(plan: BudgetPlan, path: str | Path) -> None:

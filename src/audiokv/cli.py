@@ -229,12 +229,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mapped trace validates every step, those after the window too, and sums
     the window's steps as it goes; an error names the first bad step. A
     `--plan` fixes the budget and the window, so it takes no `--scores` or
-    `--ratio`, and its window must be the run's.
+    `--ratio`; its window must be the run's, and its budget at most the
+    entries the trace's cache holds at the window's context.
+
+    A setting flag the policy's `POLICIES` row does not read is an error:
+    `--pool-width` off the snapkv selector, `--base-fraction` but for a
+    combined plan made here, `--cutoff-ratio` and `--mix-alpha` on a row
+    that does not smooth. A config may still set them. These checks run
+    before any file is read.
     """
-    cfg = _config_from_args(args)
     policy = POLICIES[args.policy]
     if args.plan and (args.scores or args.ratio is not None):
         raise AudioKvError(f"--plan {args.plan} fixes the budget: drop --scores and --ratio")
+    if not (args.plan or args.scores) and policy.mode is AllocationMode.COMBINED:
+        raise AudioKvError(f"policy {args.policy} needs head scores: pass --scores or --plan")
+    reads = {
+        "pool_width": policy.selector == "snapkv",
+        "base_fraction": policy.mode is AllocationMode.COMBINED and not args.plan,
+        "cutoff_ratio": policy.smooth,
+        "mix_alpha": policy.smooth,
+    }
+    unread = [name for name, read in reads.items() if not read and getattr(args, name) is not None]
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        with_plan = " with --plan" if args.plan else ""
+        raise AudioKvError(f"policy {args.policy}{with_plan} does not read {flags}: drop it")
+    cfg = _config_from_args(args)
     trace = map_trace(args.trace)
     obs_steps = min(cfg.window, trace.num_steps)
     (summed,) = validate_trace(trace, [(0, obs_steps)])
@@ -247,18 +267,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan = load_plan(args.plan)
         if plan.window != cfg.window:
             raise AudioKvError(f"{args.plan}: plan window {plan.window} != run window {cfg.window}")
-    elif args.scores or policy.mode is not AllocationMode.COMBINED:
+        # A plan shaped for other heads fails `select`'s dimension check instead.
+        if plan.shape == window.shape and plan.global_budget > n * context:
+            raise AudioKvError(
+                f"{args.plan}: plan budget {plan.global_budget} > the {n * context} entries "
+                f"the trace's cache holds ({n} heads x context {context})"
+            )
+    else:
         if args.scores:
             scores = load_scores(args.scores)
         else:  # uniform and pyramid plans read only the number of heads
             scores = HeadScoreMatrix(np.zeros(window.shape), num_samples=0)
         budget = budget_at_ratio(_SIMULATE_RATIO if args.ratio is None else args.ratio, context, n)
         plan = make_plan(scores, budget, policy.mode, cfg.window, cfg.base_fraction)
-    else:
-        raise AudioKvError(f"policy {args.policy} needs head scores: pass --scores or --plan")
     sss_cfg = cfg.sss() if policy.smooth else None
+    pool_width = DEFAULT_POOL_WIDTH if args.pool_width is None else args.pool_width
     result = select(
-        args.policy, policy.selector, window, obs_trace, plan, sss_cfg, cfg.window, args.pool_width
+        args.policy, policy.selector, window, obs_trace, plan, sss_cfg, cfg.window, pool_width
     )
     save_result(result, args.out)
     kept = result.total_retained()
@@ -335,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_numeral, default=None)
     p.add_argument("--scores", default=None)
     p.add_argument("--plan", default=None)
-    p.add_argument("--pool-width", dest="pool_width", type=_numeral, default=DEFAULT_POOL_WIDTH)
+    p.add_argument("--pool-width", dest="pool_width", type=_numeral, default=None)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     add_settings(p, "window", "base_fraction", "cutoff_ratio", "mix_alpha")

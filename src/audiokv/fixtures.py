@@ -30,6 +30,12 @@ from .trace import AttentionTrace, DecodingStep, WordAlignment, validate_trace
 
 PROFILES = ("specialized-heads", "spike-plateau", "uniform")
 
+# The observation window `spike-plateau` is built around, the CLI's default
+# window: its future attends a plateau past the words these steps generate,
+# local-head drift is redrawn once per this many steps, and recency spans at
+# most this many positions.
+OBSERVED_STEPS = 32
+
 
 @dataclass(frozen=True)
 class Fixture:
@@ -173,7 +179,7 @@ def _spike_plateau(seed: int) -> Fixture:
     unit = knobs["audio_share"] / n_audio * 2.0  # plateau-top value pre-normalization
     peak_value = knobs["peak_step_gain"] * unit
 
-    observed_words = 32 // steps_per_word
+    observed_words = OBSERVED_STEPS // steps_per_word
     plateau_lo = word_stop[observed_words - 1] - a0
     profiles = np.array(
         [_plateau_profile(rng, n_audio, knobs["plateau_coverage"], plateau_lo) for _ in planted]
@@ -190,9 +196,9 @@ def _spike_plateau(seed: int) -> Fixture:
     # [planted head, word, 4] audio-token offsets
     peaks = np.array([[draw_peaks(p, w) for w in range(num_words)] for p in profiles])
     # Diffuse audio attention for local heads drifts slowly: one noise draw
-    # per head per 32-step phase, so it shapes the window mean but carries no
-    # information about later phases.
-    num_phases = (num_steps + 31) // 32
+    # per head per OBSERVED_STEPS-step phase, so it shapes the window mean
+    # but carries no information about later phases.
+    num_phases = (num_steps + OBSERVED_STEPS - 1) // OBSERVED_STEPS
     local = np.nonzero(~is_planted)  # (layers, heads) of the local heads
     drift = rng.uniform(-1.0, 1.0, size=(len(local[0]), num_phases, n_audio))
     words = _words(rng, num_words, duration, low_count=3)
@@ -218,7 +224,7 @@ def _spike_plateau(seed: int) -> Fixture:
                     roaming.append(rng.choice(n_audio, size=3, replace=False))
             glances = np.hstack([word_start[w] + np.array(in_span), a0 + np.array(roaming)])
             audio = np.empty((layers, heads, n_audio))
-            audio[~is_planted] = 0.02 * (1.0 + 0.5 * drift[:, t // 32]) / n_audio
+            audio[~is_planted] = 0.02 * (1.0 + 0.5 * drift[:, t // OBSERVED_STEPS]) / n_audio
             planted_audio = trend * (1.0 + knobs["step_noise"] * np.array(noise))
             planted_audio[:, : word_start[w] - a0] *= knobs["transcribed_decay"]
             planted_audio[np.arange(len(planted))[:, None], peaks[:, w]] = peak_value
@@ -227,8 +233,8 @@ def _spike_plateau(seed: int) -> Fixture:
             # evictable zone never inherits a lone hot boundary position
             tail = _by_kind(
                 is_planted,
-                knobs["recent_share"] * _exponential_recent(min(32, t), 0.8),
-                0.45 * _exponential_recent(min(32, n_post + t), 0.8),
+                knobs["recent_share"] * _exponential_recent(min(OBSERVED_STEPS, t), 0.8),
+                0.45 * _exponential_recent(min(OBSERVED_STEPS, n_post + t), 0.8),
             )
             rows = _block(base, prefix, audio, tail, a0 + n_audio + n_post + t)
             # buffered `+=`: a position glanced at twice gains 0.0045 once

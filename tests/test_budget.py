@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from audiokv.budget import (
     AllocationMode,
+    _apportion,
     allocate,
     load_plan,
-    pyramid_schedule,
     resolve_base_tokens,
     save_plan,
 )
@@ -123,7 +123,7 @@ def looped_capacities(scores, budget, window, base, mode):
     layers, heads = scores.shape
     n = layers * heads
     if mode is AllocationMode.PYRAMID:
-        totals = pyramid_schedule(layers, budget // layers, 0.8)
+        totals = argsort_schedule(layers, budget // layers, 0.8)
         for layer in range(budget % layers):
             totals[layer] += 1
         caps = []
@@ -144,16 +144,23 @@ def looped_capacities(scores, budget, window, base, mode):
     return np.array(caps).reshape(layers, heads)
 
 
-def argsort_schedule(num_layers, per_layer_budget, decay):
-    """`pyramid_schedule` with its leftover slots handed out by a stable
-    argsort of the negated remainders: the reference for `topk_mask`."""
-    total = num_layers * per_layer_budget
-    weights = np.array([decay**i for i in range(num_layers)], dtype=np.float64)
+def argsort_apportion(total, weights, key=None):
+    """`_apportion` with its last leftover slots handed out by a stable argsort
+    of the negated key: the reference for `topk_mask`."""
     raw = total * weights / weights.sum()
     floors = np.floor(raw).astype(np.int64)
-    order = np.argsort(-(raw - floors), kind="stable")
-    floors[order[: total - int(floors.sum())]] += 1
+    leftover = max(total - int(floors.sum()), 0)
+    floors += leftover // len(floors)
+    order = np.argsort(-(raw - np.floor(raw) if key is None else key), kind="stable")
+    floors[order[: leftover % len(floors)]] += 1
     return [int(v) for v in floors]
+
+
+def argsort_schedule(num_layers, per_layer_budget, decay):
+    """Pyramid layer totals of geometrically decaying weights, rounded by
+    `argsort_apportion`."""
+    weights = np.array([decay**i for i in range(num_layers)], dtype=np.float64)
+    return argsort_apportion(num_layers * per_layer_budget, weights)
 
 
 @st.composite
@@ -220,41 +227,60 @@ def test_capacities_on_a_fixed_grid_are_pinned():
     )
 
 
-class TestPyramidSchedule:
-    def test_no_decay_is_uniform(self):
-        assert pyramid_schedule(4, 10, 1.0) == [10, 10, 10, 10]
+def pyramid_layer_totals(layers, budget):
+    plan = allocate(scores_of(np.ones((layers, 1))), budget, 0, 0, AllocationMode.PYRAMID)
+    return plan.capacities.sum(axis=1).tolist()
 
+
+class TestPyramidSchedule:
     def test_two_layer_renormalized_split(self):
-        assert pyramid_schedule(2, 10, 0.5) == [13, 7]
+        # 20 slots by weights 1 and 0.8: floors 11 and 8, and the larger
+        # remainder (0.89) takes the last slot.
+        assert pyramid_layer_totals(2, 20) == [11, 9]
 
     def test_single_layer(self):
-        assert pyramid_schedule(1, 17, 0.3) == [17]
+        assert pyramid_layer_totals(1, 17) == [17]
 
     def test_total_always_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             layers = int(rng.integers(1, 12))
-            per_layer = int(rng.integers(1, 50))
-            decay = float(rng.uniform(0.05, 1.0))
-            totals = pyramid_schedule(layers, per_layer, decay)
-            assert sum(totals) == layers * per_layer
+            budget = int(rng.integers(layers, 50 * layers))
+            totals = pyramid_layer_totals(layers, budget)
+            assert sum(totals) == budget
             assert all(a >= b for a, b in zip(totals, totals[1:]))
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        layers=st.integers(1, 40),
-        per_layer=st.integers(1, 10**6) | st.integers(1, 60),
-        decay=st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1 / 3, 0.6, 0.8, 1.0]),
-    )
-    @example(layers=2, per_layer=1, decay=1 / 3)
-    @example(layers=4, per_layer=5, decay=1 / 3)
-    def test_matches_the_stable_argsort_oracle(self, layers, per_layer, decay):
-        # A decay of 1/3 over 2 or 4 layers, or 0.6 over 2, can tie the
-        # remainders that compete for the last leftover slot, as in both
-        # examples; the earlier layer must win.
-        assert pyramid_schedule(layers, per_layer, decay) == argsort_schedule(
-            layers, per_layer, decay
+    @given(layers=st.integers(1, 40), per_layer=st.integers(1, 10**6) | st.integers(1, 60))
+    def test_matches_the_stable_argsort_oracle(self, layers, per_layer):
+        assert pyramid_layer_totals(layers, layers * per_layer) == argsort_schedule(
+            layers, per_layer, 0.8
         )
+
+
+class TestApportion:
+    def test_equal_weights_split_evenly(self):
+        assert _apportion(40, np.ones(4)).tolist() == [10, 10, 10, 10]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0, 1 / 27, 1 / 9, 1 / 3, 0.5, 1.0]), min_size=1,
+                         max_size=40).filter(any),
+        total=st.integers(0, 10**6) | st.integers(0, 60),
+        keyed=st.booleans(),
+    )
+    @example(weights=[1.0, 1 / 3], total=2, keyed=False)
+    @example(weights=[1.0, 1 / 3, 1 / 9, 1 / 27], total=20, keyed=False)
+    @example(weights=[0.5, 0.5, 0.5], total=4, keyed=True)
+    def test_matches_the_stable_argsort_oracle(self, weights, total, keyed):
+        # Weights 1/3^i over 2 or 4 shares tie the remainders that compete
+        # for the last leftover slot, as in the first two examples; keyed by
+        # the weights themselves, equal weights tie. The earlier share wins.
+        weights = np.array(weights)
+        key = weights if keyed else None
+        shares = _apportion(total, weights, key)
+        assert shares.sum() == total
+        assert shares.tolist() == argsort_apportion(total, weights, key)
 
 
 class TestPlanIo:

@@ -518,6 +518,95 @@ class TestSimulateCmd:
         ) == 0
         assert default.read_bytes() == explicit.read_bytes()
 
+    # The setting flags each policy reads without `--plan`; with one, no
+    # policy reads `--base-fraction`.
+    READS = {
+        "audiokv": {"base_fraction", "cutoff_ratio", "mix_alpha"},
+        "audiokv-nosss": {"base_fraction"},
+        "snapkv": {"pool_width"},
+        "snapkv+sss": {"cutoff_ratio", "mix_alpha"},
+        "h2o": set(),
+        "adakv": set(),
+        "pyramid": set(),
+    }
+    SETTINGS = {"pool_width": "3", "base_fraction": "0.3", "cutoff_ratio": "0.2", "mix_alpha": "0.1"}
+
+    @pytest.mark.parametrize("planned", [False, True], ids=["ratio", "plan"])
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_a_setting_flag_runs_only_where_the_policy_reads_it(
+        self, fixture_dir, tmp_path, capsys, policy, setting, planned
+    ):
+        assert sorted(self.READS) == sorted(POLICIES)
+        if planned:
+            plan_path = tmp_path / "plan.json"
+            plan_path.write_text(json.dumps(self.PLAN))
+            inputs = ["--plan", str(plan_path)]
+        else:
+            inputs = ["--scores", str(run_score(fixture_dir, tmp_path)[1])]
+        flag = "--" + setting.replace("_", "-")
+        out = tmp_path / "r.json"
+        code = simulate(fixture_dir, out, policy, *inputs, flag, self.SETTINGS[setting])
+        reads = setting in self.READS[policy] and not (planned and setting == "base_fraction")
+        err = capsys.readouterr().err
+        assert (code, out.exists()) == ((0, True) if reads else (2, False)), err
+        if not reads:
+            assert f"policy {policy}" in err and f"does not read {flag}" in err
+
+    def test_a_config_may_set_what_the_policy_does_not_read(self, fixture_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"base_fraction": 0.9, "cutoff_ratio": 0.2, "mix_alpha": 0.1}))
+        with_config, without = tmp_path / "with.json", tmp_path / "without.json"
+        assert simulate(fixture_dir, with_config, "snapkv", "--config", str(cfg)) == 0
+        assert simulate(fixture_dir, without, "snapkv") == 0
+        assert with_config.read_bytes() == without.read_bytes()
+
+    @pytest.mark.parametrize(
+        "policy, extra, message",
+        [
+            ("audiokv", [], "needs head scores"),
+            ("audiokv-nosss", ["--scores", "missing.json", "--mix-alpha", "0.1"], "--mix-alpha"),
+            ("adakv", ["--plan", "missing.json", "--base-fraction", "0.9"], "--base-fraction"),
+        ],
+    )
+    def test_usage_errors_come_before_any_file_is_read(
+        self, tmp_path, capsys, policy, extra, message
+    ):
+        out = tmp_path / "r.json"
+        argv = ["simulate", "--trace", str(tmp_path / "missing.akvt"), "--policy", policy]
+        assert main([*argv, *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "missing" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget, code", [(100000, 2), (4392, 0), (4393, 2)])
+    def test_plan_budget_is_bounded_by_the_cache(
+        self, seed_7_with_scores, tmp_path, capsys, budget, code
+    ):
+        # The seed-7 window ends at context 549, so its 8 heads hold 4392 entries.
+        fx, scores_path = seed_7_with_scores
+        plan_path, out = tmp_path / "plan.json", tmp_path / "r.json"
+        assert main(
+            ["allocate", "--scores", str(scores_path), "--budget", str(budget), "--mode",
+             "uniform", "--out", str(plan_path)]
+        ) == 0
+        capsys.readouterr()
+        assert simulate(fx, out, "audiokv", "--plan", str(plan_path)) == code
+        assert out.exists() == (code == 0)
+        if code:
+            err = capsys.readouterr().err
+            assert "plan.json" in err and f"budget {budget}" in err and "4392" in err
+        else:
+            assert json.loads(out.read_text())["plan"]["budget"] == budget
+
+    def test_plan_for_other_heads_fails_the_dimension_check(self, fixture_dir, tmp_path, capsys):
+        plan_path, out = tmp_path / "plan.json", tmp_path / "r.json"
+        plan = {**self.PLAN, "budget": 100000, "capacities": [[100000]]}
+        plan_path.write_text(json.dumps(plan))
+        assert simulate(fixture_dir, out, "audiokv", "--plan", str(plan_path)) == 2
+        assert "window heads (2, 4) != plan heads (1, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompareCmd:
     def test_byte_identical_reruns(self, fixture_dir, tmp_path):

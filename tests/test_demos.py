@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMO_STDOUT_SHA256 = {
     "01_spectral_smoothing.py": "8cfe102434545c4f67e9936db00b6899dcff1f0f2f29ca646b8f57e70370fe1f",
     "02_head_scoring.py": "41f97fe50cf9c7d0747c0288a1278a9e19dfbeecab82b081c2bd40a7f5cee682",
-    "03_budget_allocation.py": "0a8d697aa21a64c7b66b47e7cd96ec6f7d5c03767fe3310caf0b457ebf2da6f0",
+    "03_budget_allocation.py": "15cf3dbe7894b63cb1a3aa66c31105cb083d62575c7f3fa2ce9a61a25b391e70",
     "04_policy_comparison.py": "14a62246696c10de7bd68512f2016a5c5a9017aa4e4f94f8c2a2d3408282c2ed",
 }
 
