@@ -85,7 +85,8 @@ def topk_mask(
     """True at the k highest scores of each row, ties going to the lower index.
 
     This is the one top-k rule: head scoring, every selector, the oracle
-    overlap and the pyramid schedule's leftover slots all rank with it.
+    overlap, and the leftover slots of the combined plan and the pyramid
+    schedule (`budget._apportion`) all rank with it.
     `k` (>= 0) broadcasts against the rows. `ranked` is the value sort of
     `scores` along the last axis; callers ranking one array under several k
     sort it once and pass it in. Each row keeps everything above its
