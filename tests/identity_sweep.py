@@ -39,6 +39,18 @@ PLANS = {
     "5003": ["--budget", "5003"],
     "w7": ["--budget", "100003", "--window", "7", "--base-fraction", "0.3"],
 }
+# Each further `compare` run's name and flags: the grid edges a batched
+# selection must get right. Window 200 is longer than every input's trace.
+COMPARE_GRIDS = {
+    "w1": ["--window", "1"],
+    "w200": ["--window", "200", "--ratios", "0.6,0.8", "--base-fraction", "0"],
+    "r1": ["--ratios", "1.0"],
+    "r-dup": ["--ratios", "0.4,0.4"],
+    "r7": ["--ratios", "0.05,0.2,0.35,0.5,0.65,0.8,0.95"],
+    "alpha0": ["--mix-alpha", "0"],
+    "base0": ["--base-fraction", "0"],
+    "base1": ["--base-fraction", "1"],
+}
 SETTINGS = (("--pool-width", "3"), ("--base-fraction", "0.3"), ("--cutoff-ratio", "0.2"),
             ("--mix-alpha", "0.1"))
 
@@ -63,6 +75,9 @@ def commands() -> list[tuple[list[str], list[str]]]:
                   ["report.csv", "report.json"]))
     runs.append((["compare", *both, "--ratios", "0.1,0.5,0.95", "--top-k", "5", "--out",
                   "report-k5.csv"], ["report-k5.csv"]))
+    for name, flags in COMPARE_GRIDS.items():
+        out = f"report-{name}.csv"
+        runs.append((["compare", *both, *flags, "--out", out], [out]))
     for plan, sizing in PLANS.items():
         for mode in MODES:
             out = f"plan-{mode}-{plan}.json"

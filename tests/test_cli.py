@@ -952,6 +952,19 @@ class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 
+    def test_consecutive_calls_share_no_state(self, fixture_dir, tmp_path, capsys):
+        # A flag one call sets does not carry into the next, and a usage
+        # error does not fail the call after it.
+        pooled, default, again = (tmp_path / f"{name}.json" for name in ("p3", "p7", "again"))
+        assert simulate(fixture_dir, default, "snapkv") == 0
+        assert simulate(fixture_dir, pooled, "snapkv", "--pool-width", "3") == 0
+        assert simulate(fixture_dir, again, "snapkv") == 0
+        assert again.read_bytes() == default.read_bytes() != pooled.read_bytes()
+        assert simulate(fixture_dir, tmp_path / "bad.json", "snapkv", "--pool-width") == 2
+        assert simulate(fixture_dir, again, "snapkv") == 0
+        assert again.read_bytes() == default.read_bytes()
+        capsys.readouterr()
+
     def test_setting_the_command_does_not_read_exits_2(self, fixture_dir, tmp_path, capsys):
         # score-heads reads only tau and top_k; an SSS flag is a usage error.
         code, scores_path = run_score(fixture_dir, tmp_path, extra=("--mix-alpha", "0.3"))

@@ -115,3 +115,37 @@ def test_corpus_plan_runs_are_pinned(name, tmp_path, monkeypatch, capsys):
         for path in written:
             digest.update(Path(path).read_bytes() if Path(path).exists() else b"(not written)")
     assert digest.hexdigest() == PLAN_CORPUS_SHA256[name]
+
+
+# Per corpus input: one `compare` over the grid edges the batched selection
+# must get right, hashed as above. A one-step window and recent block, a
+# duplicated ratio, seven ratios with 1.0 among them, no SSS residual mix
+# and no uniform base.
+GRID_CORPUS_SHA256 = {
+    "spike-plateau-0": "b0d587ca518da2824a7db4747c82f1b844e8b77daded18721647b36229e72c38",
+    "spike-plateau-1": "e446cd58f0b477562f03270947e1e0a1bb3d2758da536981569efb6ab98364a3",
+    "spike-plateau-2": "e7014a1def2de000cc8c83b7d8f6d02f50cd5802f42163101cf820190a717845",
+    "specialized-heads-0": "33fa38be05c6708df2266c8baab9aaacb56662a1246ac16fafd4fde781d5f9d4",
+    "uniform-0": "7b1a1e54cd9796aa78c941ddab414131acebfc707d05e924816e5faaa4dbe654",
+    "gen-8x8-1": "3327a60cca77c1ccbe406b1a836b54e7b23a2a746d0c36dc74920151073d8c4f",
+}
+
+GRID_COMPARE = (
+    ["compare", "--trace", "trace.akvt", "--alignment", "alignment.json", "--window", "1",
+     "--ratios", "0.1,0.25,0.4,0.4,0.55,0.7,1.0", "--mix-alpha", "0", "--base-fraction", "0",
+     "--out", "grid.csv", "--json", "grid.json"],
+    ["grid.csv", "grid.json"],
+)
+
+
+@pytest.mark.parametrize("name", list(GRID_CORPUS_SHA256))
+def test_corpus_compare_grid_is_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_input(name)
+    argv, written = GRID_COMPARE
+    code = main(argv)
+    digest = hashlib.sha256(f"{' '.join(argv)} exit {code}\n".encode())
+    digest.update(capsys.readouterr().out.encode())
+    for path in written:
+        digest.update(Path(path).read_bytes() if Path(path).exists() else b"(not written)")
+    assert digest.hexdigest() == GRID_CORPUS_SHA256[name]

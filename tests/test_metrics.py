@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from audiokv.budget import BudgetPlan
-from audiokv.errors import DimensionMismatchError, HorizonError
+from audiokv.errors import CapacityBelowRecentError, DimensionMismatchError, HorizonError
 from audiokv.eviction import (
     EvictionResult,
     ObservationWindow,
@@ -201,6 +201,34 @@ class TestRunComparison:
         fixture = generate_fixture("spike-plateau", 0)
         with pytest.raises(ValueError):
             run_comparison(fixture.trace, [PolicySpec(name="x")], [], KvGeometry())
+
+    def test_plan_for_other_heads_raises_dimension_mismatch(self):
+        fixture = generate_fixture("spike-plateau", 0)
+        plan = self.uniform_plan(1, 1, 300)
+        message = r"window heads \(2, 4\) != plan heads \(1, 1\)"
+        with pytest.raises(DimensionMismatchError, match=message):
+            run_comparison(fixture.trace, [PolicySpec(name="x")], [plan], KvGeometry())
+
+    def test_plans_of_mixed_shapes_raise_dimension_mismatch(self):
+        # Plans that cannot be stacked fail the dimension check, not numpy's stacking.
+        fixture = generate_fixture("spike-plateau", 0)
+        plans = [self.uniform_plan(2, 4, 300), self.uniform_plan(2, 3, 300)]
+        policies = [PolicySpec(name="a"), PolicySpec(name="b", sss=SssConfig())]
+        with pytest.raises(DimensionMismatchError, match=r"\(2, 4\) != plan heads \(2, 3\)"):
+            run_comparison(fixture.trace, policies, plans, KvGeometry())
+
+    def test_capacity_error_names_the_first_failing_row(self):
+        # Row 1 fails first, in its own SSS group; row 2 shares row 0's SSS
+        # and holds a lower capacity, which must not be the one named.
+        fixture = generate_fixture("spike-plateau", 0)
+        plans = [self.uniform_plan(2, 4, 300), self.uniform_plan(2, 4, 300),
+                 self.uniform_plan(2, 4, 300)]
+        plans[1].capacities[1, 2] = 20
+        plans[2].capacities[0, 0] = 10
+        policies = [PolicySpec(name="a", sss=SssConfig()), PolicySpec(name="b"),
+                    PolicySpec(name="c", sss=SssConfig())]
+        with pytest.raises(CapacityBelowRecentError, match=r"^capacity 20 < recent window 32$"):
+            run_comparison(fixture.trace, policies, plans, observation_width=32, recent=32)
 
     def test_reports_deterministic_and_ordered(self):
         fixture = generate_fixture("spike-plateau", 1)
