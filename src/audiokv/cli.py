@@ -8,6 +8,7 @@ Flag values override config-file values, which override the defaults below.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -198,6 +199,11 @@ def cmd_smooth(args: argparse.Namespace) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
+    """Write one plan. Only `combined` spends a uniform base, so an explicit
+    `--base-fraction` in another mode is an error; a config may still set it."""
+    mode = AllocationMode(args.mode)
+    if args.base_fraction is not None and mode is not AllocationMode.COMBINED:
+        raise AudioKvError(f"mode {mode.value} does not read --base-fraction: drop it")
     cfg = _config_from_args(args)
     scores = load_scores(args.scores)
     layers, heads = scores.shape
@@ -211,7 +217,6 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         raise AudioKvError("provide --budget, or --ratio with --context-length, not both")
     if budget > n * _MAX_COUNT:
         raise AudioKvError(f"budget must be at most {n * _MAX_COUNT} for {n} heads, got {budget}")
-    mode = AllocationMode(args.mode)
     plan = make_plan(scores, budget, mode, cfg.window, cfg.base_fraction)
     save_plan(plan, args.out)
     print(
@@ -308,7 +313,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `audiokv` parser, built once per process: parsing leaves it as it
+    was, and each of its flags costs a terminal-size query to build."""
     parser = argparse.ArgumentParser(
         prog="audiokv",
         description="Trace-driven KV-cache eviction with audio-critical head "

@@ -121,6 +121,18 @@ def _evictable(context: int, recent: int) -> int:
     return context - min(recent, context)
 
 
+def _check_capacities(capacities: np.ndarray, recent: int) -> None:
+    """Raise CapacityBelowRecentError if a [..., layers, heads] capacity is
+    below `recent`, naming the least capacity of the first [layers, heads]
+    block that holds one."""
+    below = capacities < recent
+    if below.any():
+        first = tuple(np.argwhere(below)[0][:-2])
+        raise CapacityBelowRecentError(
+            f"capacity {capacities[first].min()} < recent window {recent}"
+        )
+
+
 def _retain(
     scores: np.ndarray,
     capacities: np.ndarray | int,
@@ -129,20 +141,21 @@ def _retain(
 ) -> np.ndarray:
     """Per head: the recent positions plus the top-scored older positions.
 
-    scores is [layers, heads, context]; capacities broadcasts to [layers, heads].
-    Returns the [layers, heads, context] retained mask.
+    scores is [layers, heads, context]; capacities is shaped `(*lead, *rows)`
+    as `topk_mask`'s k is, its row part broadcasting to [layers, heads].
+    Returns the `(*lead, layers, heads, context)` retained mask, one per
+    lead index, after `_check_capacities`.
     `ranked`, if given, is the value sort of the evictable prefix, as
     `rank_scores` returns it. Ties go to the lower index.
     """
     layers, heads, context = scores.shape
-    capacities = np.broadcast_to(capacities, (layers, heads))
-    if np.any(capacities < recent):
-        raise CapacityBelowRecentError(
-            f"capacity {capacities.min()} < recent window {recent}"
-        )
+    capacities = np.broadcast_to(
+        capacities, np.broadcast_shapes(np.shape(capacities), (layers, heads))
+    )
+    _check_capacities(capacities, recent)
     boundary = _evictable(context, recent)
     fill = np.minimum(capacities, context) - (context - boundary)
-    mask = np.ones((layers, heads, context), dtype=bool)
+    mask = np.ones((*capacities.shape, context), dtype=bool)
     mask[..., :boundary] = topk_mask(scores[..., :boundary], fill, ranked)
     return mask
 

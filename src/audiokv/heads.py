@@ -87,35 +87,42 @@ def topk_mask(
     This is the one top-k rule: head scoring, every selector, the oracle
     overlap, and the leftover slots of the combined plan and the pyramid
     schedule (`budget._apportion`) all rank with it.
-    `k` (>= 0) broadcasts against the rows. `ranked` is the value sort of
-    `scores` along the last axis; callers ranking one array under several k
-    sort it once and pass it in. Each row keeps everything above its
-    kth-largest value, then the first of the entries equal to it. One
-    compare does that, except in the rows whose ties at the kth value spill
-    past the top k: k is 0, or the sorted value just below the kth slot is
-    the same. Only those rows are scanned again.
+    `k` (>= 0) is shaped `(*lead, *rows)`, its row part broadcasting
+    against the rows of `scores`, and the mask is `(*lead, *rows, n)`: one
+    mask per lead index, so a caller ranking one array under several k
+    stacks them in one call. `ranked` is the value sort of `scores` along
+    the last axis; callers ranking one array in several calls sort it once
+    and pass it in. Each row keeps everything above its kth-largest value,
+    then the first of the entries equal to it. One compare does that, except
+    in the rows whose ties at the kth value spill past the top k: k is 0, or
+    the sorted value just below the kth slot is the same. Only those rows
+    are scanned again, one lead index at a time, so no float copy of the
+    rows carries the lead axes.
     """
     context = scores.shape[-1]
+    k = np.minimum(k, context)
+    k = np.broadcast_to(k, np.broadcast_shapes(k.shape, scores.shape[:-1]))
     if context == 0:
-        return np.zeros(scores.shape, dtype=bool)
+        return np.zeros((*k.shape, 0), dtype=bool)
     if ranked is None:
         ranked = np.sort(scores, axis=-1)
-    k = np.minimum(k, np.full(scores.shape[:-1], context))
+    lead = k.shape[: k.ndim - ranked.ndim + 1]
     # The kth slot (the last when k is 0) and the one below it, which wraps
     # round when k is the context, where nothing spills.
-    slots = np.minimum(context - k, context - 1).reshape(-1, 1) - np.array([1, 0])
-    flat = ranked.reshape(-1, context)
-    below, kth = flat[np.arange(len(flat))[:, None], slots].T.reshape(2, *k.shape)
+    slots = np.minimum(context - k, context - 1)[..., None] - np.array([1, 0])
+    ranked = ranked[(None,) * len(lead)]
+    below, kth = np.moveaxis(np.take_along_axis(ranked, slots, axis=-1), -1, 0)
     spill = (k == 0) | ((k < context) & (below == kth))
-    kth = kth[..., None]
-    mask = scores >= kth
-    if spill.any():
-        rows, at = scores[spill], kth[spill]
-        above, tied = rows > at, rows == at
-        room = (k[spill] - np.count_nonzero(above, axis=-1))[:, None]
-        # A running count of ties never exceeds the row length.
-        seen = np.cumsum(tied, axis=-1, dtype=np.min_scalar_type(context))
-        mask[spill] = above | (tied & (seen <= room))
+    mask = scores >= kth[..., None]
+    for index in np.ndindex(lead):
+        rows = spill[index]
+        if rows.any():
+            spilled, at = scores[rows], kth[index][rows][:, None]
+            above, tied = spilled > at, spilled == at
+            room = (k[index][rows] - np.count_nonzero(above, axis=-1))[:, None]
+            # A running count of ties never exceeds the row length.
+            seen = np.cumsum(tied, axis=-1, dtype=np.min_scalar_type(context))
+            mask[index][rows] = above | (tied & (seen <= room))
     return mask
 
 

@@ -28,6 +28,9 @@ from .eviction import (
     POLICIES,
     EvictionResult,
     ObservationWindow,
+    _check_capacities,
+    _check_dims,
+    _retain,
     build_observation_window,
     rank_scores,
     select,
@@ -52,6 +55,11 @@ class KvGeometry:
     def __post_init__(self) -> None:
         if min(self.head_dim, self.bytes_per_element, self.kv_pair_factor) < 1:
             raise ValueError("geometry fields must be positive")
+
+    @property
+    def entry_bytes(self) -> int:
+        """Bytes one retained KV entry holds."""
+        return self.kv_pair_factor * self.head_dim * self.bytes_per_element
 
 
 @dataclass(frozen=True)
@@ -142,19 +150,21 @@ def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) 
     """
     boundary = find_eviction_step(trace, result.context_length)
     future = aggregate_future_attention(trace, boundary, horizon, result.context_length)
-    return _overlap(result, future.aggregated, None)
+    return float(_overlaps(result.mask[None], future.aggregated, None)[0])
 
 
-def _overlap(result: EvictionResult, future: np.ndarray, ranked: np.ndarray | None) -> float:
-    """`oracle_overlap` against the held-out aggregate `future` and its value
-    sort `ranked` (None: sorted here), which serves every set size: a head's
-    oracle set is the `topk_mask` of its future row at the number it retained.
+def _overlaps(masks: np.ndarray, future: np.ndarray, ranked: np.ndarray | None) -> np.ndarray:
+    """`oracle_overlap` of each [pairs, layers, heads, context] retained mask
+    against the held-out aggregate `future` and its value sort `ranked`
+    (None: sorted here), which serves every set size: a head's oracle set is
+    the `topk_mask` of its future row at the number it retained.
     """
-    retained = result.mask
-    sizes = retained.sum(axis=-1)
-    hits = (retained & topk_mask(future, sizes, ranked)).sum(axis=-1)
+    sizes = masks.sum(axis=-1)
+    oracle = topk_mask(future, sizes, ranked)
+    oracle &= masks  # the hits, in place
+    hits = np.count_nonzero(oracle, axis=-1)
     overlaps = np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
-    return float(np.mean(overlaps.ravel()))
+    return np.mean(overlaps.reshape(len(masks), -1), axis=-1)
 
 
 def _head_sums(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -184,17 +194,27 @@ def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
     A head with no attention mass counts as fully retained. The window may
     reach past the result's context, not fall short of it.
     """
-    if result.shape != window.shape or window.context_length < result.context_length:
+    return float(_masses(result.mask[None], window)[0])
+
+
+def _masses(masks: np.ndarray, window: ObservationWindow) -> np.ndarray:
+    """`retained_mass` of each [pairs, layers, heads, context] retained mask.
+
+    The window's row totals are summed once; each pair's kept mass is
+    gathered on its own, so no float copy of the rows carries the pair axis.
+    """
+    pairs, layers, heads, context = masks.shape
+    if (layers, heads) != window.shape or window.context_length < context:
         raise DimensionMismatchError(
-            f"result {result.mask.shape} does not fit window {window.aggregated.shape}"
+            f"result {masks.shape[1:]} does not fit window {window.aggregated.shape}"
         )
-    layers, heads = result.shape
-    context = result.context_length
     rows = window.aggregated.reshape(layers * heads, window.context_length)
-    mass = _head_sums(rows[:, :context], result.mask.reshape(layers * heads, context))
     totals = rows.sum(axis=-1)
+    mass = np.stack(
+        [_head_sums(rows[:, :context], mask.reshape(layers * heads, context)) for mask in masks]
+    )
     shares = np.divide(mass, totals, out=np.ones_like(mass), where=totals > 0.0)
-    return float(np.mean(shares))
+    return np.mean(shares, axis=-1)
 
 
 def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -> float:
@@ -204,15 +224,20 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
     scores minus the sum of its `p·log p` terms over its occupied bins, in bin
     order, as its own 1-D `np.sum` would; a head that keeps nothing scores 0.
     """
+    return float(_entropies(result.mask[None], bins)[0])
+
+
+def _entropies(masks: np.ndarray, bins: int) -> np.ndarray:
+    """`coverage_entropy` of each [pairs, layers, heads, context] retained
+    mask, every pair's bin counts taken in the same scan."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    layers, heads = result.shape
-    context = result.context_length
+    pairs, layers, heads, context = masks.shape
     # Bin b holds positions [bounds[b], bounds[b+1]): np.histogram's rule,
     # edges[b] <= position < edges[b+1]. With fewer positions than bins, some
     # bins are empty.
     bounds = np.ceil(np.linspace(0, context, bins + 1)).astype(np.intp)
-    rows = result.mask.reshape(layers * heads, context)
+    rows = masks.reshape(pairs * layers * heads, context)
     counts = np.stack(
         [np.count_nonzero(rows[:, lo:hi], axis=-1) for lo, hi in zip(bounds[:-1], bounds[1:])],
         axis=-1,
@@ -220,13 +245,12 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
     occupied = counts > 0
     p = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
     terms = p * np.log(p, out=np.zeros_like(p), where=occupied)
-    return float(np.mean(-_head_sums(terms, occupied)))
+    return np.mean(-_head_sums(terms, occupied).reshape(pairs, -1), axis=-1)
 
 
 def memory_footprint(result: EvictionResult, geom: KvGeometry) -> int:
     """Bytes held by the retained KV entries across all heads."""
-    per_entry = geom.kv_pair_factor * geom.head_dim * geom.bytes_per_element
-    return result.total_retained() * per_entry
+    return result.total_retained() * geom.entry_bytes
 
 
 def run_comparison(
@@ -238,13 +262,16 @@ def run_comparison(
     observation_width: int = DEFAULT_RECENT,
     recent: int = DEFAULT_RECENT,
 ) -> list[RetentionReport]:
-    """Replay the trace once per (policy, plan) pair, in the order given.
+    """Replay the trace once per (policy, plan) pair; reports come back in input order.
 
     The first `observation_width` steps feed the policies; every step after
-    them is held out to score the results. Pairs run one after another and
-    reports come back in input order. The window's scores are smoothed and
-    sorted once per distinct SSS config, and the held-out aggregate is sorted
-    once; every pair selects and scores its oracle overlap against those.
+    them is held out to score the results. The window's scores are smoothed
+    and sorted once per distinct SSS config, and the audiokv rows ranking
+    them select in one `_retain` over their stacked capacities. Other
+    selectors run through `select` one row at a time. The retained masks
+    form one [pairs, layers, heads, context] stack, scored for every pair
+    at once against the held-out aggregate, which is sorted once. Rows are
+    checked in input order first, so an error names the first bad row.
     """
     if len(policies) != len(plans):
         raise ValueError("policies and plans must pair up one to one")
@@ -253,29 +280,42 @@ def run_comparison(
     obs_steps, context = eviction_boundary(trace, observation_width)
     obs_trace = trace.prefix(obs_steps)
     window = build_observation_window(obs_trace, obs_steps)
+    masks = np.empty((len(plans), *window.shape, context), dtype=bool)
+    ranks = []
+    for i, (policy, plan) in enumerate(zip(policies, plans)):
+        if policy.selector == "audiokv":
+            _check_dims(window, plan)
+            _check_capacities(plan.capacities, recent)
+            ranks.append(i)
+        else:
+            masks[i] = select(
+                policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent, 1
+            ).mask
+    for sss in dict.fromkeys(policies[i].sss for i in ranks):
+        rows = [i for i in ranks if policies[i].sss == sss]
+        scores, ranked = rank_scores(window, sss, recent)
+        capacities = np.stack([plans[i].capacities for i in rows])
+        masks[rows] = _retain(scores, capacities, recent, ranked)
+        del scores, ranked  # freed before the next ranking and the scoring
     future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
-    future_sorted = np.sort(future.aggregated, axis=-1)
-    rankings = {
-        sss: rank_scores(window, sss, recent)
-        for sss in dict.fromkeys(p.sss for p in policies if p.selector == "audiokv")
-    }
-    reports = []
-    for policy, plan in zip(policies, plans):
-        result = select(
-            policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent,
-            pool_width=1, ranking=rankings.get(policy.sss),
+    kept = np.count_nonzero(masks.reshape(len(masks), -1), axis=-1)
+    columns = zip(
+        kept / masks[0].size,
+        _overlaps(masks, future.aggregated, np.sort(future.aggregated, axis=-1)),
+        _entropies(masks, DEFAULT_ENTROPY_BINS),
+        _masses(masks, future),
+    )
+    return [
+        RetentionReport(
+            policy_name=policy.name,
+            retention_ratio=float(ratio),
+            oracle_overlap=float(overlap),
+            coverage_entropy=float(entropy),
+            mass_retained=float(mass),
+            memory_bytes=int(count) * geom.entry_bytes,
         )
-        reports.append(
-            RetentionReport(
-                policy_name=policy.name,
-                retention_ratio=float(result.mask.mean()),
-                oracle_overlap=_overlap(result, future.aggregated, future_sorted),
-                coverage_entropy=coverage_entropy(result),
-                mass_retained=retained_mass(result, future),
-                memory_bytes=memory_footprint(result, geom),
-            )
-        )
-    return reports
+        for policy, count, (ratio, overlap, entropy, mass) in zip(policies, kept, columns)
+    ]
 
 
 # Report column name -> the RetentionReport field it shows, in column order.

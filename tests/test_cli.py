@@ -224,6 +224,29 @@ class TestAllocateCmd:
         assert "not both" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["uniform", "pyramid"])
+    def test_base_fraction_exits_2_where_the_mode_spends_no_base(
+        self, fixture_dir, tmp_path, capsys, mode
+    ):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        out = tmp_path / "p.json"
+        argv = ["allocate", "--scores", str(scores_path), "--budget", "1600", "--mode", mode]
+        assert main([*argv, "--base-fraction", "0.9", "--out", str(out)]) == 2
+        assert f"mode {mode} does not read --base-fraction: drop it" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--base-fraction", "0.5", "--mode", "combined", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("mode", ["uniform", "pyramid"])
+    def test_a_config_may_set_base_fraction_in_any_mode(self, fixture_dir, tmp_path, mode):
+        _, scores_path = run_score(fixture_dir, tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"base_fraction": 0.9}))
+        argv = ["allocate", "--scores", str(scores_path), "--budget", "1600", "--mode", mode]
+        with_config, without = tmp_path / "c.json", tmp_path / "p.json"
+        assert main([*argv, "--config", str(config), "--out", str(with_config)]) == 0
+        assert main([*argv, "--out", str(without)]) == 0
+        assert with_config.read_bytes() == without.read_bytes()
+
     @pytest.mark.parametrize(
         "payload",
         [

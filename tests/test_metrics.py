@@ -16,6 +16,8 @@ from audiokv.metrics import (
     COMPARE_GRID,
     KvGeometry,
     PolicySpec,
+    RetentionReport,
+    aggregate_future_attention,
     compare_grid,
     coverage_entropy,
     eviction_boundary,
@@ -229,6 +231,32 @@ class TestRunComparison:
                     PolicySpec(name="c", sss=SssConfig())]
         with pytest.raises(CapacityBelowRecentError, match=r"^capacity 20 < recent window 32$"):
             run_comparison(fixture.trace, policies, plans, observation_width=32, recent=32)
+
+    def test_rows_on_other_selectors_match_their_own_select(self):
+        # Rows off the audiokv selector run through `select` and join the
+        # stack between the batched rows; each report is its row's alone.
+        fixture = generate_fixture("spike-plateau", 3)
+        trace = fixture.trace
+        context = trace.steps[31].context_length
+        plans = [self.uniform_plan(2, 4, int(r * context)) for r in (0.4, 0.6, 0.8, 0.5, 0.7)]
+        policies = [PolicySpec("a", "snapkv"), PolicySpec("b", sss=SssConfig()),
+                    PolicySpec("c", "h2o"), PolicySpec("d", "adakv"), PolicySpec("e")]
+        reports = run_comparison(trace, policies, plans, observation_width=32, recent=32)
+        obs_trace = trace.prefix(32)
+        window = build_observation_window(obs_trace, 32)
+        horizon = trace.num_steps - 32
+        future = aggregate_future_attention(trace, 31, horizon, context)
+        expected = []
+        for policy, plan in zip(policies, plans):
+            result = select(
+                policy.name, policy.selector, window, obs_trace, plan, policy.sss, 32, 1
+            )
+            expected.append(RetentionReport(
+                policy.name, float(result.mask.mean()), oracle_overlap(result, trace, horizon),
+                coverage_entropy(result), retained_mass(result, future),
+                memory_footprint(result, KvGeometry()),
+            ))
+        assert reports == expected
 
     def test_reports_deterministic_and_ordered(self):
         fixture = generate_fixture("spike-plateau", 1)

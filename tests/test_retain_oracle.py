@@ -13,6 +13,7 @@ from audiokv.eviction import (
     EvictionResult,
     ObservationWindow,
     _pool,
+    _retain,
     build_observation_window,
     load_result,
     save_result,
@@ -290,6 +291,34 @@ def test_topk_mask_matches_full_row_oracle(data, scores, ndim):
     expected = oracle.topk_mask(scores, k)
     assert np.array_equal(topk_mask(scores, k), expected)
     assert np.array_equal(topk_mask(scores, k, np.sort(scores, axis=-1)), expected)
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    scores=score_tensors(min_context=0),
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+)
+def test_a_lead_axis_stacks_one_call_per_lead_index(data, scores, lead):
+    # k = 0, k at or past the row length, empty rows and rows tied
+    # throughout all occur; each lead index must rank as its own call does.
+    layers, heads, context = scores.shape
+    scores[data.draw(arrays(bool, (layers, heads)))] = data.draw(tied)
+    ks = st.sampled_from([0, context, context + 2]) | st.integers(0, context + 3)
+    k = data.draw(arrays(np.int64, (*lead, layers, heads), elements=ks))
+
+    def stacked(call, ks):
+        return np.stack([call(ks[index]) for index in np.ndindex(lead)]).reshape(
+            *lead, *scores.shape
+        )
+
+    expected = stacked(lambda each: topk_mask(scores, each), k)
+    assert np.array_equal(topk_mask(scores, k), expected)
+    assert np.array_equal(topk_mask(scores, k, np.sort(scores, axis=-1)), expected)
+    recent = data.draw(st.integers(0, context + 2))
+    capacities = k + recent
+    expected = stacked(lambda each: _retain(scores, each, recent), capacities)
+    assert np.array_equal(_retain(scores, capacities, recent), expected)
 
 
 # Two SSS configs that appear several times in one grid, so the shared
