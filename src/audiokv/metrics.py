@@ -299,22 +299,19 @@ def run_comparison(
         del scores, ranked  # freed before the next ranking and the scoring
     future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
     kept = np.count_nonzero(masks.reshape(len(masks), -1), axis=-1)
-    columns = zip(
-        kept / masks[0].size,
-        _overlaps(masks, future.aggregated, np.sort(future.aggregated, axis=-1)),
-        _entropies(masks, DEFAULT_ENTROPY_BINS),
-        _masses(masks, future),
-    )
+    overlaps = _overlaps(masks, future.aggregated, np.sort(future.aggregated, axis=-1))
+    entropies = _entropies(masks, DEFAULT_ENTROPY_BINS)
+    masses = _masses(masks, future)
     return [
         RetentionReport(
             policy_name=policy.name,
-            retention_ratio=float(ratio),
-            oracle_overlap=float(overlap),
-            coverage_entropy=float(entropy),
-            mass_retained=float(mass),
-            memory_bytes=int(count) * geom.entry_bytes,
+            retention_ratio=float(kept[i] / masks[i].size),
+            oracle_overlap=float(overlaps[i]),
+            coverage_entropy=float(entropies[i]),
+            mass_retained=float(masses[i]),
+            memory_bytes=int(kept[i]) * geom.entry_bytes,
         )
-        for policy, count, (ratio, overlap, entropy, mass) in zip(policies, kept, columns)
+        for i, policy in enumerate(policies)
     ]
 
 

@@ -46,7 +46,7 @@ COMPARE_GRIDS = {
     "w200": ["--window", "200", "--ratios", "0.6,0.8", "--base-fraction", "0"],
     "r1": ["--ratios", "1.0"],
     "r-dup": ["--ratios", "0.4,0.4"],
-    "r7": ["--ratios", "0.05,0.2,0.35,0.5,0.65,0.8,0.95"],
+    "r7": ["--ratios", "0.2,0.3,0.4,0.5,0.6,0.8,0.95"],
     "alpha0": ["--mix-alpha", "0"],
     "base0": ["--base-fraction", "0"],
     "base1": ["--base-fraction", "1"],
