@@ -28,9 +28,10 @@ from .eviction import (
 )
 from .fixtures import PROFILES, generate_fixture
 from .heads import DEFAULT_TOP_K, HeadScoreMatrix, TopKConfig, load_scores, save_scores, score_heads
-from .metrics import compare_grid, run_comparison, write_reports
+from .metrics import KvGeometry, compare_grid, score_rows, validated_split, write_reports
 from .spectral import SssConfig, smooth_rows
 from .trace import (
+    AttentionTrace,
     align_generated_to_words,
     filter_words,
     load_alignment,
@@ -159,17 +160,16 @@ def cmd_gen_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_from_files(args: argparse.Namespace, cfg: RunConfig):
-    trace = load_trace(args.trace)
+def _score_from_files(args: argparse.Namespace, cfg: RunConfig, trace: AttentionTrace):
+    """`score_heads` of the validated `trace` against `--alignment`."""
     words = filter_words(load_alignment(args.alignment), cfg.tau)
     mapping = align_generated_to_words(list(trace.steps), words)
-    scores = score_heads(trace, words, mapping, TopKConfig(cfg.top_k))
-    return trace, scores
+    return score_heads(trace, words, mapping, TopKConfig(cfg.top_k))
 
 
 def cmd_score_heads(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    _, scores = _score_from_files(args, cfg)
+    scores = _score_from_files(args, cfg, load_trace(args.trace))
     save_scores(scores, args.out)
     for layer in range(scores.shape[0]):
         row = scores.scores[layer]
@@ -300,14 +300,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Report the `compare_grid` rows at the eviction boundary of `window`.
+
+    One pass over the mapped trace validates every step and sums the
+    observation window and the held-out future (`validated_split`); head
+    scoring then reads only the word-aligned steps. An error names the first
+    bad step, and no report is written. A trace too short to split fails in
+    `compare_grid`, after the alignment and head scoring, as the last input
+    error.
+    """
     cfg = _config_from_args(args)
-    trace, scores = _score_from_files(args, cfg)
+    trace = map_trace(args.trace)
+    split = validated_split(trace, cfg.window)
+    scores = _score_from_files(args, cfg, trace)
     policies, plans = compare_grid(
         trace, scores, cfg.retention_ratios, cfg.window, cfg.base_fraction, cfg.sss()
     )
-    reports = run_comparison(
-        trace, policies, plans, observation_width=cfg.window, recent=cfg.window
-    )
+    reports = score_rows(*split, policies, plans, KvGeometry(), cfg.window)
     write_reports(reports, args.out, args.json)
     print(f"wrote {len(reports)} report rows to {args.out}")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .heads import topk_mask
 from .spectral import SssConfig, smooth_rows
-from .trace import AttentionTrace, DecodingStep, StepSum
+from .trace import AttentionTrace, DecodingStep, StepSum, stream_steps
 
 DEFAULT_RECENT = 32
 DEFAULT_POOL_WIDTH = 7
@@ -96,23 +96,27 @@ def build_observation_window(trace: AttentionTrace, width: int) -> ObservationWi
     if width < 1:
         raise ValueError("width must be >= 1")
     width = min(width, trace.num_steps)
-    summed = summed_attention(trace.steps[-width:], trace.final_context_length)
-    return ObservationWindow.mean_of(summed, width)
+    steps = stream_steps(trace, trace.num_steps - width)
+    return ObservationWindow.mean_of(summed_attention(steps, trace.final_context_length), width)
 
 
-def summed_attention(steps: Sequence[DecodingStep], context: int) -> np.ndarray:
+def summed_attention(steps: Iterable[DecodingStep], context: int) -> np.ndarray:
     """The float64 [layers, heads, context] sum of the steps' attention rows.
 
     Each step adds its first `min(step.context_length, context)` positions:
     a shorter step is zero-padded, a longer one cut at `context`. Steps
-    narrower than the context go through one contiguous buffer (`StepSum`);
-    `simulate` gets its window's sum from `validate_trace` instead, in the
-    pass that validates the trace.
+    narrower than the context go through one contiguous buffer (`StepSum`).
+    The steps are read once, in order, so a caller summing a trace's steps
+    passes its `stream_steps`. `simulate` and `compare` get their sums from
+    `validate_trace` instead, in the pass that validates the trace.
     """
-    layers, heads = steps[0].attention.shape[:2]
-    summed = StepSum(layers, heads, context)
+    summed = None
     for step in steps:
+        if summed is None:
+            summed = StepSum(*step.attention.shape[:2], context)
         summed.add(step.attention)
+    if summed is None:
+        raise ValueError("no steps to sum")
     return summed.total
 
 
@@ -256,7 +260,7 @@ def select_h2o(
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
     """Heavy-hitter retention: attention mass accumulated over every step."""
-    scores = summed_attention(trace.steps, trace.final_context_length)
+    scores = summed_attention(stream_steps(trace), trace.final_context_length)
     return EvictionResult("h2o", _retain(scores, capacity_per_head, recent))
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, json_int, read_json
-from .trace import AttentionTrace, WordAlignment, WordStepMap, word_to_audio_span
+from .trace import AttentionTrace, WordAlignment, WordStepMap, stream_steps, word_to_audio_span
 
 DEFAULT_TOP_K = 24
 
@@ -49,34 +49,47 @@ def score_heads(
     """Mean per-head hit ratio over all word-aligned decoding steps.
 
     Each step is scored against the span of its own word; steps not aligned
-    to any word are ignored. An empty map yields a zero matrix.
+    to any word are ignored, and never read. An empty map yields a zero
+    matrix.
 
-    A step's rows are sorted once. When no row's ties spill past its top k,
-    the top k is everything at or above the kth value, so only the span is
-    compared against it; otherwise the hits are read off `topk_mask`.
+    The aligned steps are read in trace order, through `stream_steps`, and
+    their hits are summed in the map's order. A step's rows are sorted once.
+    When no row's ties spill past its top k, the top k is everything at or
+    above the kth value, so only the span is compared against it; otherwise
+    the hits are read off `topk_mask`.
     """
-    shape = (trace.num_layers, trace.num_heads)
-    totals = np.zeros(shape, dtype=np.float64)
-    num_samples = 0
-    steps_by_index = {step.step_index: step for step in trace.steps}
+    position = {step.step_index: p for p, step in enumerate(trace.steps)}
+    # Trace position -> (sample number, audio span) of each hit ratio read
+    # there, the samples numbered in the map's order.
+    samples: dict[int, list[tuple[int, int, int]]] = {}
+    count = 0
     for word_index, step_indices in word_step_map.entries:
         span = word_to_audio_span(words[word_index], trace)
-        lo, hi = span.start_index, span.end_index + 1
         for step_index in sorted(step_indices):
-            step = steps_by_index[step_index]
-            rows = step.attention  # [L, H, context]
-            context = step.context_length
-            k = min(cfg.k, context)
-            ranked = np.sort(rows, axis=-1)
-            kth = ranked[..., context - k, None]
-            if k < context and np.any(ranked[..., context - k - 1, None] == kth):
-                hits = np.count_nonzero(topk_mask(rows, k, ranked)[..., lo:hi], axis=-1)
-            else:
-                hits = np.count_nonzero(rows[..., lo:hi] >= kth, axis=-1)
-            totals += hits / cfg.k
-            num_samples += 1
-    scores = totals / num_samples if num_samples else totals
-    return HeadScoreMatrix(scores=scores, num_samples=num_samples)
+            at = samples.setdefault(position[step_index], [])
+            at.append((count, span.start_index, span.end_index + 1))
+            count += 1
+    hits = [None] * count
+    first = min(samples, default=0)
+    for at, step in enumerate(stream_steps(trace, first, max(samples, default=-1) + 1), first):
+        if at not in samples:
+            continue
+        rows = step.attention  # [L, H, context]
+        context = step.context_length
+        k = min(cfg.k, context)
+        ranked = np.sort(rows, axis=-1)
+        kth = ranked[..., context - k, None]
+        top = None
+        if k < context and np.any(ranked[..., context - k - 1, None] == kth):
+            top = topk_mask(rows, k, ranked)
+        for sample, lo, hi in samples[at]:
+            inside = rows[..., lo:hi] >= kth if top is None else top[..., lo:hi]
+            hits[sample] = np.count_nonzero(inside, axis=-1)
+    totals = np.zeros((trace.num_layers, trace.num_heads), dtype=np.float64)
+    for sample_hits in hits:
+        totals += sample_hits / cfg.k
+    scores = totals / count if count else totals
+    return HeadScoreMatrix(scores=scores, num_samples=count)
 
 
 def topk_mask(

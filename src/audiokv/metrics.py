@@ -38,7 +38,7 @@ from .eviction import (
 )
 from .heads import HeadScoreMatrix, topk_mask
 from .spectral import SssConfig
-from .trace import AttentionTrace
+from .trace import AttentionTrace, stream_steps, validate_trace
 
 DEFAULT_ENTROPY_BINS = 10
 
@@ -135,10 +135,12 @@ def aggregate_future_attention(
 ) -> ObservationWindow:
     """Mean held-out attention over the next `horizon` steps, truncated to the
     pre-eviction context (positions created later are not evictable)."""
-    future = trace.steps[eviction_step + 1 : eviction_step + 1 + horizon]
-    if not future:
+    start = eviction_step + 1
+    count = len(trace.steps[start : start + horizon])
+    if not count:
         raise HorizonError(f"no decoding steps remain after step {eviction_step}")
-    return ObservationWindow.mean_of(summed_attention(future, context_length), len(future))
+    future = stream_steps(trace, start, start + count)
+    return ObservationWindow.mean_of(summed_attention(future, context_length), count)
 
 
 def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) -> float:
@@ -262,16 +264,13 @@ def run_comparison(
     observation_width: int = DEFAULT_RECENT,
     recent: int = DEFAULT_RECENT,
 ) -> list[RetentionReport]:
-    """Replay the trace once per (policy, plan) pair; reports come back in input order.
+    """Score each (policy, plan) row at the eviction boundary; reports come back in input order.
 
     The first `observation_width` steps feed the policies; every step after
-    them is held out to score the results. The window's scores are smoothed
-    and sorted once per distinct SSS config, and the audiokv rows ranking
-    them select in one `_retain` over their stacked capacities. Other
-    selectors run through `select` one row at a time. The retained masks
-    form one [pairs, layers, heads, context] stack, scored for every pair
-    at once against the held-out aggregate, which is sorted once. Rows are
-    checked in input order first, so an error names the first bad row.
+    them is held out to score the results. The trace is taken as validated:
+    the window and the held-out future are summed here, one pass over their
+    steps each, and `score_rows` does the rest. `compare` calls `score_rows`
+    with the sums of `validated_split` instead, which reads each step once.
     """
     if len(policies) != len(plans):
         raise ValueError("policies and plans must pair up one to one")
@@ -280,7 +279,56 @@ def run_comparison(
     obs_steps, context = eviction_boundary(trace, observation_width)
     obs_trace = trace.prefix(obs_steps)
     window = build_observation_window(obs_trace, obs_steps)
-    masks = np.empty((len(plans), *window.shape, context), dtype=bool)
+    future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
+    return score_rows(obs_trace, window, future, policies, plans, geom, recent)
+
+
+def validated_split(
+    trace: AttentionTrace, observation_width: int
+) -> tuple[AttentionTrace, ObservationWindow, ObservationWindow] | None:
+    """`validate_trace` of every step, in the pass that sums the observation
+    window and the held-out future of `eviction_boundary`.
+
+    Returns the observed prefix of the trace, the window and the future, as
+    `run_comparison` builds them; the future is cut at the window's context.
+    A trace too short to split is validated all the same, and None comes
+    back: the caller's own `eviction_boundary` raises its `HorizonError`
+    after the inputs read before it, so a bad step is reported first.
+    """
+    if trace.num_steps < 2:
+        validate_trace(trace)
+        return None
+    obs_steps, context = eviction_boundary(trace, observation_width)
+    spans = [(0, obs_steps), (obs_steps, trace.num_steps)]
+    window, future = validate_trace(trace, spans, context)
+    return (
+        trace.prefix(obs_steps),
+        ObservationWindow.mean_of(window, obs_steps),
+        ObservationWindow.mean_of(future, trace.num_steps - obs_steps),
+    )
+
+
+def score_rows(
+    obs_trace: AttentionTrace,
+    window: ObservationWindow,
+    future: ObservationWindow,
+    policies: list[PolicySpec],
+    plans: list[BudgetPlan],
+    geom: KvGeometry,
+    recent: int,
+) -> list[RetentionReport]:
+    """Select each (policy, plan) row from `window` and score it against `future`.
+
+    `obs_trace` is the observed prefix of the trace, which only the h2o
+    selector reads. The window's scores are smoothed and sorted once per
+    distinct SSS config, and the audiokv rows ranking them select in one
+    `_retain` over their stacked capacities. Other selectors run through
+    `select` one row at a time. The retained masks form one [rows, layers,
+    heads, context] stack, scored for every row at once against the
+    held-out aggregate, which is sorted once. Rows are checked in input
+    order first, so an error names the first bad row.
+    """
+    masks = np.empty((len(plans), *window.shape, window.context_length), dtype=bool)
     ranks = []
     for i, (policy, plan) in enumerate(zip(policies, plans)):
         if policy.selector == "audiokv":
@@ -297,7 +345,6 @@ def run_comparison(
         capacities = np.stack([plans[i].capacities for i in rows])
         masks[rows] = _retain(scores, capacities, recent, ranked)
         del scores, ranked  # freed before the next ranking and the scoring
-    future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
     kept = np.count_nonzero(masks.reshape(len(masks), -1), axis=-1)
     overlaps = _overlaps(masks, future.aggregated, np.sort(future.aggregated, axis=-1))
     entropies = _entropies(masks, DEFAULT_ENTROPY_BINS)

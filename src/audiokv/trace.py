@@ -23,9 +23,9 @@ import os
 import re
 import stat
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,11 @@ from .errors import AudioKvError, DegenerateSpanError, FormatError, IntegrityErr
 TRACE_MAGIC = b"AKVT"
 TRACE_VERSION = 1
 ROW_SUM_TOLERANCE = 1e-4  # f32 softmax exports accumulate rounding error
+# Bytes of finished steps a pass over a mapped trace lets the kernel drop at a
+# time (`stream_steps`): the most of them that stay resident behind the pass.
+RELEASE_CHUNK = 2 << 20
+# Where mmap cannot drop pages, a mapped trace stays resident while it is open.
+_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED") and hasattr(mmap.mmap, "madvise")
 
 _HEADER = struct.Struct("<4sIIIIIId")
 _U32 = struct.Struct("<I")
@@ -68,9 +73,22 @@ class DecodingStep:
         return self.attention.shape[-1]
 
 
+class TraceFile(NamedTuple):
+    """Where `map_trace` found a trace's steps: the read-only mapping, and the
+    file offset just past each step's values, in step order."""
+
+    data: mmap.mmap
+    ends: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class AttentionTrace:
-    """Immutable per-step attention record plus the audio-prefix geometry."""
+    """Immutable per-step attention record plus the audio-prefix geometry.
+
+    `source` is set by `map_trace`, so that `stream_steps` can let the kernel
+    drop the pages of the steps a pass has finished; None for a trace built
+    in memory.
+    """
 
     num_layers: int
     num_heads: int
@@ -78,6 +96,7 @@ class AttentionTrace:
     audio_start: int
     num_audio_tokens: int
     total_duration_s: float
+    source: TraceFile | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_steps(self) -> int:
@@ -149,6 +168,43 @@ class StepSum:
         return buffer[..., :width]
 
 
+def stream_steps(
+    trace: AttentionTrace, start: int = 0, stop: int | None = None
+) -> Iterator[DecodingStep]:
+    """Yield `trace.steps[start:stop]` in order, releasing mapped pages behind the pass.
+
+    For a trace from `map_trace`, once the steps passed since the last
+    release end `RELEASE_CHUNK` bytes or more beyond it, the kernel is told
+    to drop the whole pages they fill (`MADV_DONTNEED`); when the pass ends,
+    it drops the rest up to the last step yielded. A dropped page reloads
+    from the page cache if it is read again, so no value changes; only what
+    the process keeps resident does. A trace built in memory, or a platform
+    without `madvise`, yields the steps and releases nothing.
+    """
+    start, stop, _ = slice(start, stop).indices(trace.num_steps)
+    steps = trace.steps[start:stop]
+    source = trace.source
+    # A trace given more steps than its file's (by `replace`) releases nothing.
+    if source is None or not _CAN_RELEASE or stop > len(source.ends):
+        yield from steps
+        return
+    data, ends = source
+    page = mmap.PAGESIZE
+    released = (ends[start - 1] if start else 0) // page * page
+    end = released
+    try:
+        for position, step in enumerate(steps, start):
+            yield step
+            end = ends[position]
+            if end - released >= RELEASE_CHUNK:
+                whole = end // page * page
+                data.madvise(mmap.MADV_DONTNEED, released, whole - released)
+                released = whole
+    finally:
+        if end > released:
+            data.madvise(mmap.MADV_DONTNEED, released, end - released)
+
+
 def validate_trace(
     trace: AttentionTrace,
     spans: Sequence[tuple[int, int]] = (),
@@ -184,7 +240,7 @@ def validate_trace(
     row_sums = np.empty((trace.num_steps, *shape))
     minima = np.empty(trace.num_steps)
     prev = None
-    for position, step in enumerate(trace.steps):
+    for position, step in enumerate(stream_steps(trace)):
         fault = _step_fault(position, step, prev, shape)
         if fault is not None:
             _check_values(row_sums, minima, position)
@@ -277,7 +333,7 @@ def write_trace(trace: AttentionTrace, path: str | Path) -> None:
                     trace.total_duration_s,
                 )
             )
-            for step in trace.steps:
+            for step in stream_steps(trace):
                 fh.write(_U32.pack(step.context_length))
                 fh.write(np.ascontiguousarray(step.attention, dtype="<f4").tobytes())
         os.replace(tmp, path)
@@ -308,7 +364,8 @@ def map_trace(path: str | Path) -> AttentionTrace:
     The file's layout is checked, but not its steps: pass the trace to
     `validate_trace` before using it. The file is mapped read-only, not
     copied: each step's attention is a read-only view of the mapping, which
-    stays open while any step is alive.
+    stays open while any step is alive. The trace's `source` records the
+    mapping and where each step ends, for `stream_steps`.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -332,7 +389,7 @@ def map_trace(path: str | Path) -> AttentionTrace:
         raise FormatError(f"{path}: truncated: {num_steps} steps in {len(data)} bytes")
     texts = _load_sidecar(path, num_steps)
     offset = _HEADER.size
-    steps = []
+    steps, ends = [], []
     for index in range(num_steps):
         if offset + _U32.size > len(data):
             raise FormatError(f"{path}: truncated at step {index}")
@@ -345,7 +402,8 @@ def map_trace(path: str | Path) -> AttentionTrace:
         if end > len(data):
             raise FormatError(f"{path}: truncated attention block at step {index}")
         block = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
+        offset = end
+        ends.append(end)
         steps.append(
             DecodingStep(
                 step_index=index,
@@ -362,6 +420,7 @@ def map_trace(path: str | Path) -> AttentionTrace:
         audio_start=a0,
         num_audio_tokens=n_audio,
         total_duration_s=duration,
+        source=TraceFile(data, tuple(ends)),
     )
 
 

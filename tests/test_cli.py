@@ -1089,6 +1089,39 @@ def test_a_bad_step_after_the_window_fails_compare(seed_7_with_scores, tmp_path,
     assert not out.exists() and not mirror.exists()
 
 
+@pytest.mark.parametrize(
+    "defect, message",
+    [(True, "step 0 attention row sums off by nan"),
+     (False, "trace too short to split into observation and future")],
+    ids=["nan", "valid"],
+)
+def test_a_one_step_trace_fails_compare_on_its_first_fault(
+    seed_7_with_scores, tmp_path, capsys, defect, message
+):
+    # compare validates in the pass that sums the window and the future, which
+    # a 1-step trace cannot be split into: its bad value is reported all the same.
+    fx, _ = seed_7_with_scores
+    trace = load_trace(fx / "trace.akvt").prefix(1)
+    if defect:
+        attention = trace.steps[0].attention.copy()
+        attention[0, 1, 2] = np.nan
+        trace = dataclasses.replace(
+            trace, steps=(dataclasses.replace(trace.steps[0], attention=attention),)
+        )
+    write_trace(trace, tmp_path / "trace.akvt")
+    out = tmp_path / "report.csv"
+    argv = ["compare", "--trace", str(tmp_path / "trace.akvt"), "--out", str(out)]
+    assert main([*argv, "--alignment", str(fx / "alignment.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # A bad alignment comes after a bad step, and before the trace is found too short.
+    (tmp_path / "bad.json").write_text("{}")
+    assert main([*argv, "--alignment", str(tmp_path / "bad.json")]) == 2
+    err = capsys.readouterr().err
+    assert (message in err) == defect and ("expected a JSON array" in err) != defect
+    assert not out.exists()
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     out = tmp_path / "fx"
     assert main(["gen-fixture", "--profile", "uniform", "--seed", "-1", "--out", str(out)]) == 2
