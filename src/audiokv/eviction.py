@@ -160,7 +160,7 @@ def _retain(
     boundary = _evictable(context, recent)
     fill = np.minimum(capacities, context) - (context - boundary)
     mask = np.ones((*capacities.shape, context), dtype=bool)
-    mask[..., :boundary] = topk_mask(scores[..., :boundary], fill, ranked)
+    topk_mask(scores[..., :boundary], fill, ranked, out=mask[..., :boundary])
     return mask
 
 

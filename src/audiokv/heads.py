@@ -85,6 +85,7 @@ def score_heads(
         for sample, lo, hi in samples[at]:
             inside = rows[..., lo:hi] >= kth if top is None else top[..., lo:hi]
             hits[sample] = np.count_nonzero(inside, axis=-1)
+        del ranked, kth, top  # freed before the next step is sorted
     totals = np.zeros((trace.num_layers, trace.num_heads), dtype=np.float64)
     for sample_hits in hits:
         totals += sample_hits / cfg.k
@@ -93,7 +94,10 @@ def score_heads(
 
 
 def topk_mask(
-    scores: np.ndarray, k: np.ndarray | int, ranked: np.ndarray | None = None
+    scores: np.ndarray,
+    k: np.ndarray | int,
+    ranked: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """True at the k highest scores of each row, ties going to the lower index.
 
@@ -110,13 +114,14 @@ def topk_mask(
     in the rows whose ties at the kth value spill past the top k: k is 0, or
     the sorted value just below the kth slot is the same. Only those rows
     are scanned again, one lead index at a time, so no float copy of the
-    rows carries the lead axes.
+    rows is made. `out`, if given, is the `(*lead, *rows, n)` bool array the
+    mask is written to and returned as.
     """
     context = scores.shape[-1]
     k = np.minimum(k, context)
     k = np.broadcast_to(k, np.broadcast_shapes(k.shape, scores.shape[:-1]))
     if context == 0:
-        return np.zeros((*k.shape, 0), dtype=bool)
+        return np.zeros((*k.shape, 0), dtype=bool) if out is None else out
     if ranked is None:
         ranked = np.sort(scores, axis=-1)
     lead = k.shape[: k.ndim - ranked.ndim + 1]
@@ -126,16 +131,21 @@ def topk_mask(
     ranked = ranked[(None,) * len(lead)]
     below, kth = np.moveaxis(np.take_along_axis(ranked, slots, axis=-1), -1, 0)
     spill = (k == 0) | ((k < context) & (below == kth))
-    mask = scores >= kth[..., None]
+    mask = np.greater_equal(scores, kth[..., None], out=out)
     for index in np.ndindex(lead):
         rows = spill[index]
         if rows.any():
-            spilled, at = scores[rows], kth[index][rows][:, None]
-            above, tied = spilled > at, spilled == at
-            room = (k[index][rows] - np.count_nonzero(above, axis=-1))[:, None]
+            # The rows keep everything at or above the kth value, less the
+            # ties past their room; no float copy of the rows is made.
+            kept, tied = mask[index][rows], (scores == kth[index][..., None])[rows]
+            above = np.count_nonzero(kept, axis=-1) - np.count_nonzero(tied, axis=-1)
+            room = (k[index][rows] - above)[:, None]
             # A running count of ties never exceeds the row length.
             seen = np.cumsum(tied, axis=-1, dtype=np.min_scalar_type(context))
-            mask[index][rows] = above | (tied & (seen <= room))
+            tied &= seen > room
+            del seen
+            kept ^= tied
+            mask[index][rows] = kept
     return mask
 
 

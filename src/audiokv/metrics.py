@@ -44,6 +44,10 @@ DEFAULT_ENTROPY_BINS = 10
 
 # The POLICIES names `compare` reports per ratio: uniform vs head-aware plan, SSS off vs on.
 COMPARE_GRID = ("snapkv", "snapkv+sss", "audiokv-nosss", "audiokv")
+# Bytes of the float64 [layers, heads, context] slice of the window that
+# `score_rows` ranks, selects and scores at a time, at least one layer: its
+# transients are a few such slices, and its rows' masks an eighth of one per row.
+SCORE_BLOCK = 384 << 10
 
 
 @dataclass(frozen=True)
@@ -152,41 +156,49 @@ def oracle_overlap(result: EvictionResult, trace: AttentionTrace, horizon: int) 
     """
     boundary = find_eviction_step(trace, result.context_length)
     future = aggregate_future_attention(trace, boundary, horizon, result.context_length)
-    return float(_overlaps(result.mask[None], future.aggregated, None)[0])
+    return float(_row_means(_overlaps(result.mask[None], future.aggregated, None))[0])
+
+
+def _row_means(per_head: np.ndarray) -> np.ndarray:
+    """Each row's mean over its [layers, heads] values: the figure it reports."""
+    return np.mean(per_head.reshape(len(per_head), -1), axis=-1)
 
 
 def _overlaps(masks: np.ndarray, future: np.ndarray, ranked: np.ndarray | None) -> np.ndarray:
-    """`oracle_overlap` of each [pairs, layers, heads, context] retained mask
-    against the held-out aggregate `future` and its value sort `ranked`
-    (None: sorted here), which serves every set size: a head's oracle set is
-    the `topk_mask` of its future row at the number it retained.
+    """Each head's `oracle_overlap` for each [pairs, layers, heads, context]
+    retained mask, against the held-out aggregate `future` and its value sort
+    `ranked` (None: sorted here), which serves every set size: a head's
+    oracle set is the `topk_mask` of its future row at the number it retained.
     """
     sizes = masks.sum(axis=-1)
     oracle = topk_mask(future, sizes, ranked)
     oracle &= masks  # the hits, in place
     hits = np.count_nonzero(oracle, axis=-1)
-    overlaps = np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
-    return np.mean(overlaps.reshape(len(masks), -1), axis=-1)
+    return np.where(sizes > 0, hits / np.maximum(sizes, 1), 1.0)
 
 
 def _head_sums(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Each row's sum of its `kept` entries, in index order.
 
-    numpy's summation order depends on a row's length. Sorted by how many
-    entries they keep, the rows lay out their kept values in runs of equal
-    length, and each run is summed as one [rows, n] block: every row gets the
-    bits its own 1-D `np.sum` would. A row that keeps nothing sums to 0.
+    Row `r` of `kept` keeps entries of row `r % len(values)` of `values`, so
+    several masks of the same rows are summed in one call. numpy's summation
+    order depends on a row's length. Sorted by how many entries they keep,
+    the rows fall into runs of equal length, and the kept values of each run
+    are summed as [rows, n] blocks of at most `len(values)` rows, so no more
+    than one copy of `values` is gathered at a time: every row gets the bits
+    its own 1-D `np.sum` would. A row that keeps nothing sums to 0.
     """
     used = np.count_nonzero(kept, axis=-1)
     order = np.argsort(used, kind="stable")
-    values = values[order][kept[order]]
     sums = np.empty(len(used))
-    row = offset = 0
+    row = 0
     for n, run in itertools.groupby(used[order].tolist()):
-        count = len(list(run))
-        block = values[offset : offset + count * n].reshape(count, n)
-        sums[order[row : row + count]] = block.sum(axis=-1)
-        row, offset = row + count, offset + count * n
+        end = row + len(list(run))
+        for start in range(row, end, len(values)):
+            rows = order[start : min(start + len(values), end)]
+            block = values[rows % len(values)][kept[rows]].reshape(len(rows), n)
+            sums[rows] = block.sum(axis=-1)
+        row = end
     return sums
 
 
@@ -196,14 +208,16 @@ def retained_mass(result: EvictionResult, window: ObservationWindow) -> float:
     A head with no attention mass counts as fully retained. The window may
     reach past the result's context, not fall short of it.
     """
-    return float(_masses(result.mask[None], window)[0])
+    return float(_row_means(_masses(result.mask[None], window))[0])
 
 
 def _masses(masks: np.ndarray, window: ObservationWindow) -> np.ndarray:
-    """`retained_mass` of each [pairs, layers, heads, context] retained mask.
+    """Each head's `retained_mass` share for each [pairs, layers, heads,
+    context] retained mask.
 
-    The window's row totals are summed once; each pair's kept mass is
-    gathered on its own, so no float copy of the rows carries the pair axis.
+    The window's row totals are summed once, and every pair's kept mass is
+    gathered in one `_head_sums` call, one run of equal-length rows at a
+    time, so no float copy of the rows carries the pair axis.
     """
     pairs, layers, heads, context = masks.shape
     if (layers, heads) != window.shape or window.context_length < context:
@@ -212,11 +226,10 @@ def _masses(masks: np.ndarray, window: ObservationWindow) -> np.ndarray:
         )
     rows = window.aggregated.reshape(layers * heads, window.context_length)
     totals = rows.sum(axis=-1)
-    mass = np.stack(
-        [_head_sums(rows[:, :context], mask.reshape(layers * heads, context)) for mask in masks]
-    )
+    mass = _head_sums(rows[:, :context], masks.reshape(pairs * layers * heads, context))
+    mass = mass.reshape(pairs, layers * heads)
     shares = np.divide(mass, totals, out=np.ones_like(mass), where=totals > 0.0)
-    return np.mean(shares, axis=-1)
+    return shares.reshape(pairs, layers, heads)
 
 
 def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -> float:
@@ -226,12 +239,12 @@ def coverage_entropy(result: EvictionResult, bins: int = DEFAULT_ENTROPY_BINS) -
     scores minus the sum of its `p·log p` terms over its occupied bins, in bin
     order, as its own 1-D `np.sum` would; a head that keeps nothing scores 0.
     """
-    return float(_entropies(result.mask[None], bins)[0])
+    return float(_row_means(_entropies(result.mask[None], bins))[0])
 
 
 def _entropies(masks: np.ndarray, bins: int) -> np.ndarray:
-    """`coverage_entropy` of each [pairs, layers, heads, context] retained
-    mask, every pair's bin counts taken in the same scan."""
+    """Each head's `coverage_entropy` for each [pairs, layers, heads, context]
+    retained mask, every pair's bin counts taken in the same scan."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
     pairs, layers, heads, context = masks.shape
@@ -247,7 +260,7 @@ def _entropies(masks: np.ndarray, bins: int) -> np.ndarray:
     occupied = counts > 0
     p = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
     terms = p * np.log(p, out=np.zeros_like(p), where=occupied)
-    return np.mean(-_head_sums(terms, occupied).reshape(pairs, -1), axis=-1)
+    return -_head_sums(terms, occupied).reshape(pairs, layers, heads)
 
 
 def memory_footprint(result: EvictionResult, geom: KvGeometry) -> int:
@@ -320,39 +333,60 @@ def score_rows(
     """Select each (policy, plan) row from `window` and score it against `future`.
 
     `obs_trace` is the observed prefix of the trace, which only the h2o
-    selector reads. The window's scores are smoothed and sorted once per
-    distinct SSS config, and the audiokv rows ranking them select in one
-    `_retain` over their stacked capacities. Other selectors run through
-    `select` one row at a time. The retained masks form one [rows, layers,
-    heads, context] stack, scored for every row at once against the
-    held-out aggregate, which is sorted once. Rows are checked in input
-    order first, so an error names the first bad row.
+    selector reads. Rows are checked in input order first, so an error names
+    the first bad row: an audiokv row's plan is checked, and a row on any
+    other selector runs through `select` whole. The grid is then ranked,
+    selected and scored one block of layers at a time, each block's float64
+    window slice about `SCORE_BLOCK` bytes. In a block, the window's scores
+    are smoothed and sorted once per distinct SSS config, and the audiokv
+    rows ranking them select in one `_retain` over their stacked capacities.
+    The block's retained masks form one [rows, layers, heads, context]
+    stack, scored for every row at once against the held-out aggregate,
+    sorted once per block. Every step of that is local to a head's row, so
+    the per-head overlap, entropy and mass of each block are those of the
+    whole grid, and each report takes their mean over all heads at the end.
     """
-    masks = np.empty((len(plans), *window.shape, window.context_length), dtype=bool)
-    ranks = []
+    layers, heads = window.shape
+    context = window.context_length
+    selected = {}
+    groups: dict[SssConfig | None, list[int]] = {}
     for i, (policy, plan) in enumerate(zip(policies, plans)):
         if policy.selector == "audiokv":
             _check_dims(window, plan)
             _check_capacities(plan.capacities, recent)
-            ranks.append(i)
+            groups.setdefault(policy.sss, []).append(i)
         else:
-            masks[i] = select(
+            selected[i] = select(
                 policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent, 1
             ).mask
-    for sss in dict.fromkeys(policies[i].sss for i in ranks):
-        rows = [i for i in ranks if policies[i].sss == sss]
-        scores, ranked = rank_scores(window, sss, recent)
-        capacities = np.stack([plans[i].capacities for i in rows])
-        masks[rows] = _retain(scores, capacities, recent, ranked)
-        del scores, ranked  # freed before the next ranking and the scoring
-    kept = np.count_nonzero(masks.reshape(len(masks), -1), axis=-1)
-    overlaps = _overlaps(masks, future.aggregated, np.sort(future.aggregated, axis=-1))
-    entropies = _entropies(masks, DEFAULT_ENTROPY_BINS)
-    masses = _masses(masks, future)
+    capacities = {
+        sss: np.stack([plans[i].capacities for i in rows]) for sss, rows in groups.items()
+    }
+    kept = np.zeros(len(plans), dtype=np.intp)
+    overlaps, entropies, masses = (np.empty((len(plans), layers, heads)) for _ in range(3))
+    step = max(1, SCORE_BLOCK // (heads * context * window.aggregated.itemsize))
+    for lo in range(0, layers, step):
+        block = slice(lo, lo + step)
+        part = ObservationWindow(window.width, window.aggregated[block])
+        masks = np.empty((len(plans), *part.shape, context), dtype=bool)
+        for i, mask in selected.items():
+            masks[i] = mask[block]
+        for sss, rows in groups.items():
+            scores, ranked = rank_scores(part, sss, recent)
+            masks[rows] = _retain(scores, capacities[sss][:, block], recent, ranked)
+            del scores, ranked  # freed before the next ranking and the scoring
+        ahead = ObservationWindow(future.width, future.aggregated[block])
+        kept += np.count_nonzero(masks.reshape(len(masks), -1), axis=-1)
+        overlaps[:, block] = _overlaps(masks, ahead.aggregated, np.sort(ahead.aggregated, axis=-1))
+        entropies[:, block] = _entropies(masks, DEFAULT_ENTROPY_BINS)
+        masses[:, block] = _masses(masks, ahead)
+        del masks  # freed before the next block's stack is made
+    overlaps, entropies, masses = (_row_means(v) for v in (overlaps, entropies, masses))
+    size = layers * heads * context
     return [
         RetentionReport(
             policy_name=policy.name,
-            retention_ratio=float(kept[i] / masks[i].size),
+            retention_ratio=float(kept[i] / size),
             oracle_overlap=float(overlaps[i]),
             coverage_entropy=float(entropies[i]),
             mass_retained=float(masses[i]),

@@ -78,7 +78,11 @@ def build_mask(cutoff_index: int | np.ndarray, num_bins: int, transition_bins: i
 
 def smooth_rows(signals: np.ndarray, config: SssConfig) -> np.ndarray:
     """Smooth every signal along the last axis at once:
-    (1-alpha)*x + alpha*irfft(rfft(x)*mask)."""
+    (1-alpha)*x + alpha*irfft(rfft(x)*mask).
+
+    The spectrum is masked, and the smoothed signal scaled and mixed, in
+    place: the arithmetic is the formula's, without its temporaries.
+    """
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError("signals must have a non-empty last axis")
@@ -93,6 +97,10 @@ def smooth_rows(signals: np.ndarray, config: SssConfig) -> np.ndarray:
         if config.transition_bins is None
         else config.transition_bins
     )
-    mask = build_mask(energy_cutoff(bins, config.cutoff_ratio), num_bins, transition)
-    smoothed = np.fft.irfft(bins * mask, n=x.shape[-1])
-    return (1.0 - config.mix_alpha) * x + config.mix_alpha * smoothed
+    bins *= build_mask(energy_cutoff(bins, config.cutoff_ratio), num_bins, transition)
+    smoothed = np.fft.irfft(bins, n=x.shape[-1])
+    del bins
+    smoothed *= config.mix_alpha
+    mixed = (1.0 - config.mix_alpha) * x
+    mixed += smoothed
+    return mixed

@@ -143,17 +143,21 @@ class StepSum:
     step's width is zero, so the sum is a contiguous add instead of a write
     through a strided view of the sum; the tail is re-zeroed if a later
     step is narrower than the last. A step at least as wide as the context
-    is added straight from its own rows.
+    is added straight from its own rows. The sum is made when the first step
+    is added, so a sum made ahead of its steps holds no memory until then.
     """
 
     def __init__(self, layers: int, heads: int, context: int) -> None:
-        self.total = np.zeros((layers, heads, context), dtype=np.float64)
+        self._shape = (layers, heads, context)
+        self.total: np.ndarray | None = None
         self._buffer: np.ndarray | None = None
         self._filled = 0  # leading buffer positions that may be nonzero
 
     def add(self, attention: np.ndarray) -> np.ndarray | None:
         """Add one step's rows; return their float64 copy if the buffer made one."""
-        width, context = attention.shape[-1], self.total.shape[-1]
+        width, context = attention.shape[-1], self._shape[-1]
+        if self.total is None:
+            self.total = np.zeros(self._shape, dtype=np.float64)
         if width >= context:
             self.total += attention[..., :context]
             return None
@@ -166,6 +170,10 @@ class StepSum:
         self._filled = width
         self.total += buffer
         return buffer[..., :width]
+
+    def finish(self) -> None:
+        """Free the copy buffer once the last step is added."""
+        self._buffer = None
 
 
 def stream_steps(
@@ -216,7 +224,10 @@ def validate_trace(
     `(start, stop)` in `spans` into a `StepSum` as wide as `context`, or, if
     `context` is None, as wide as the span's last step, and returns those
     float64 sums in the order of `spans`. A step in a span takes its row sums
-    from the float64 copy that the sum made of it, if one was made. This is
+    from the float64 copy that the sum made of it, if one was made. A span's
+    sum is made at its first step, and its copy buffer is freed once its last
+    step is added, so `compare` holds no idle window buffer while it sums the
+    future. This is
     how `simulate` gets its observation window: the window is its one span,
     and the steps after it are validated all the same.
 
@@ -253,6 +264,8 @@ def validate_trace(
                 added = summed.add(attention)
                 if copy is None:
                     copy = added
+                if position == stop - 1:
+                    summed.finish()
         if copy is None:
             attention.sum(axis=-1, dtype=np.float64, out=row_sums[position])
         else:
@@ -362,57 +375,62 @@ def map_trace(path: str | Path) -> AttentionTrace:
     """Map a trace file (plus token sidecar if present) without reading its values.
 
     The file's layout is checked, but not its steps: pass the trace to
-    `validate_trace` before using it. The file is mapped read-only, not
-    copied: each step's attention is a read-only view of the mapping, which
-    stays open while any step is alive. The trace's `source` records the
-    mapping and where each step ends, for `stream_steps`.
+    `validate_trace` before using it. The header and each step's context
+    length are read through the file, so parsing leaves none of the mapped
+    pages resident. The file is mapped read-only, not copied: each step's
+    attention is a read-only view of the mapping, which stays open while any
+    step is alive. The trace's `source` records the mapping and where each
+    step ends, for `stream_steps`.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
+    # Unbuffered: each read below fetches the 4 bytes asked for, no more.
+    with open(path, "rb", buffering=0) as fh:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
             raise FormatError(f"{path}: a trace is memory-mapped, so it must be a regular file")
+        size = info.st_size
         # mmap refuses an empty file, so the size is checked first.
-        if info.st_size < _HEADER.size:
+        if size < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    magic, version, layers, heads, num_steps, a0, n_audio, duration = _HEADER.unpack_from(
-        data, 0
-    )
-    if magic != TRACE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != TRACE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    # Every step takes at least its u32 context length, so a count the file
-    # cannot hold is caught before one text per step is made.
-    if num_steps > (len(data) - _HEADER.size) // _U32.size:
-        raise FormatError(f"{path}: truncated: {num_steps} steps in {len(data)} bytes")
-    texts = _load_sidecar(path, num_steps)
-    offset = _HEADER.size
-    steps, ends = [], []
-    for index in range(num_steps):
-        if offset + _U32.size > len(data):
-            raise FormatError(f"{path}: truncated at step {index}")
-        (context,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        count = layers * heads * context
-        if count == 0:  # numpy cannot shape an empty block with very large sides
-            raise FormatError(f"{path}: step {index} is empty ({layers}x{heads}x{context})")
-        end = offset + 4 * count
-        if end > len(data):
-            raise FormatError(f"{path}: truncated attention block at step {index}")
-        block = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        offset = end
-        ends.append(end)
-        steps.append(
-            DecodingStep(
-                step_index=index,
-                generated_token_text=texts[index],
-                attention=block.reshape(layers, heads, context),
-            )
+        magic, version, layers, heads, num_steps, a0, n_audio, duration = _HEADER.unpack(
+            fh.read(_HEADER.size)
         )
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
+        if magic != TRACE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != TRACE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        # Every step takes at least its u32 context length, so a count the file
+        # cannot hold is caught before one text per step is made.
+        if num_steps > (size - _HEADER.size) // _U32.size:
+            raise FormatError(f"{path}: truncated: {num_steps} steps in {size} bytes")
+        texts = _load_sidecar(path, num_steps)
+        offset = _HEADER.size
+        steps, ends = [], []
+        for index in range(num_steps):
+            if offset + _U32.size > size:
+                raise FormatError(f"{path}: truncated at step {index}")
+            fh.seek(offset)
+            (context,) = _U32.unpack(fh.read(_U32.size))
+            offset += _U32.size
+            count = layers * heads * context
+            if count == 0:  # numpy cannot shape an empty block with very large sides
+                raise FormatError(f"{path}: step {index} is empty ({layers}x{heads}x{context})")
+            end = offset + 4 * count
+            if end > size:
+                raise FormatError(f"{path}: truncated attention block at step {index}")
+            block = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+            offset = end
+            ends.append(end)
+            steps.append(
+                DecodingStep(
+                    step_index=index,
+                    generated_token_text=texts[index],
+                    attention=block.reshape(layers, heads, context),
+                )
+            )
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes")
     return AttentionTrace(
         num_layers=layers,
         num_heads=heads,

@@ -5,8 +5,10 @@
 Each tree is a checkout of this repository. Its `src/audiokv` runs in a
 subprocess of its own (this script with `--worker`), the two in parallel,
 over these inputs: spike-plateau seeds 0..N-1 (default 60), specialized-heads
-and uniform seeds 0-1, and the 8x8 `perfbench/gen.py` traces of seeds 1-3
-(the tree's own `gen.py`, imported without writing bytecode). Per input it
+and uniform seeds 0-1, and `perfbench/gen.py` traces (the tree's own
+`gen.py`, imported without writing bytecode): 8x8 heads at seeds 1-3, and
+7x6 heads at seed 1, whose 7 layers `score_rows` scores in blocks of 5 and
+2, the last block ragged. Per input it
 runs the commands of `commands()` from a directory of their own, so paths in
 messages are relative, and records each command's exit code, stdout, stderr
 and written files. It then calls `budget.allocate` on `--cases` random cases
@@ -60,6 +62,7 @@ def inputs(seeds: int) -> list[str]:
         *(f"spike-plateau-{seed}" for seed in range(seeds)),
         *(f"{profile}-{seed}" for profile in ("specialized-heads", "uniform") for seed in (0, 1)),
         *(f"gen-8x8-{seed}" for seed in (1, 2, 3)),
+        "gen-7x6-1",
     ]
 
 
@@ -124,7 +127,7 @@ def run_command(main, argv: list[str], written: list[str]) -> dict:
 def write_input(tree: Path, name: str, main) -> dict:
     """Write `name`'s trace and alignment to the working directory; the record of doing so."""
     profile, seed = name.rsplit("-", 1)
-    if profile != "gen-8x8":
+    if not profile.startswith("gen-"):
         return run_command(main, ["gen-fixture", "--profile", profile, "--seed", seed,
                                   "--out", "."], ["trace.akvt", "alignment.json", "meta.json"])
     sys.path.insert(0, str(tree / "perfbench"))
@@ -132,7 +135,8 @@ def write_input(tree: Path, name: str, main) -> dict:
 
     from audiokv.trace import write_alignment, write_trace
 
-    trace, words = gen.generate(int(seed), 8, 8)
+    layers, heads = (int(side) for side in profile.removeprefix("gen-").split("x"))
+    trace, words = gen.generate(int(seed), layers, heads)
     write_trace(trace, Path("trace.akvt"))
     write_alignment(words, Path("alignment.json"))
     files = {f: sha(Path(f).read_bytes()) for f in ("trace.akvt", "alignment.json")}

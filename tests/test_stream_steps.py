@@ -225,3 +225,42 @@ def test_simulate_and_compare_keep_a_long_trace_mostly_unresident(tmp_path):
         assert compare - baseline < bound, (compare - baseline, size)
     finally:
         trace.unlink()
+
+
+# Prints how many bytes the resident set grew by while `map_trace(argv[1])`
+# ran, the trace still alive, then the trace's step count.
+RESIDENT_AFTER_MAP = """
+import os, sys
+from audiokv.trace import map_trace
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+before = resident()
+trace = map_trace(sys.argv[1])
+print(resident() - before, trace.num_steps)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="no /proc/self/statm here")
+def test_map_trace_leaves_no_step_resident(tmp_path):
+    # 256 steps of 1x16 heads at contexts from 1024: each step spans 64 KiB or
+    # more, so each context length sits on pages of its own. Reading them
+    # through the mapping would fault in about 64 KiB per step.
+    path = tmp_path / "trace.akvt"
+    steps, heads = 256, 16
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIIIIId", b"AKVT", 1, 1, heads, steps, 0, 16, 1.0))
+        for step in range(steps):
+            context = 1024 + step
+            fh.write(struct.pack("<I", context))
+            fh.write(np.full((heads, context), 1 / context, dtype="<f4").tobytes())
+    run = subprocess.run(
+        [sys.executable, "-c", RESIDENT_AFTER_MAP, str(path)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    grown, mapped = (int(word) for word in run.stdout.split())
+    assert mapped == steps
+    assert grown < 2**20, grown
