@@ -144,6 +144,15 @@ def _numerals(text: str) -> list:
     return [_numeral(entry) for entry in text.split(",") if entry.strip()]
 
 
+def _refuse_unread(subject: str, reads: dict[str, bool], args: argparse.Namespace) -> None:
+    """Raise an AudioKvError naming each setting flag given that `reads` says
+    `subject` does not read; a config may still set it."""
+    unread = [name for name, read in reads.items() if not read and getattr(args, name) is not None]
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise AudioKvError(f"{subject} does not read {flags}: drop it")
+
+
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,8 +211,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     """Write one plan. Only `combined` spends a uniform base, so an explicit
     `--base-fraction` in another mode is an error; a config may still set it."""
     mode = AllocationMode(args.mode)
-    if args.base_fraction is not None and mode is not AllocationMode.COMBINED:
-        raise AudioKvError(f"mode {mode.value} does not read --base-fraction: drop it")
+    _refuse_unread(f"mode {mode.value}", {"base_fraction": mode is AllocationMode.COMBINED}, args)
     cfg = _config_from_args(args)
     scores = load_scores(args.scores)
     layers, heads = scores.shape
@@ -232,7 +240,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     The window is the first `min(window, steps)` steps. One pass over the
     mapped trace validates every step, those after the window too, and sums
-    the window's steps as it goes; an error names the first bad step. A
+    the window's steps as it goes; an error names the first bad step. Every
+    policy selects from that window alone, so the trace is read once. A
     `--plan` fixes the budget and the window, so it takes no `--scores` or
     `--ratio`; its window must be the run's, and its budget at most the
     entries the trace's cache holds at the window's context.
@@ -254,17 +263,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "cutoff_ratio": policy.smooth,
         "mix_alpha": policy.smooth,
     }
-    unread = [name for name, read in reads.items() if not read and getattr(args, name) is not None]
-    if unread:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
-        with_plan = " with --plan" if args.plan else ""
-        raise AudioKvError(f"policy {args.policy}{with_plan} does not read {flags}: drop it")
+    _refuse_unread(f"policy {args.policy}{' with --plan' if args.plan else ''}", reads, args)
     cfg = _config_from_args(args)
     trace = map_trace(args.trace)
     obs_steps = min(cfg.window, trace.num_steps)
     (summed,) = validate_trace(trace, [(0, obs_steps)])
     window = ObservationWindow.mean_of(summed, obs_steps)
-    obs_trace = trace.prefix(obs_steps)
     context = window.context_length
     n = trace.num_layers * trace.num_heads
 
@@ -287,9 +291,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan = make_plan(scores, budget, policy.mode, cfg.window, cfg.base_fraction)
     sss_cfg = cfg.sss() if policy.smooth else None
     pool_width = DEFAULT_POOL_WIDTH if args.pool_width is None else args.pool_width
-    result = select(
-        args.policy, policy.selector, window, obs_trace, plan, sss_cfg, cfg.window, pool_width
-    )
+    result = select(args.policy, policy.selector, window, plan, sss_cfg, cfg.window, pool_width)
     save_result(result, args.out)
     kept = result.total_retained()
     print(

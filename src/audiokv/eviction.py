@@ -3,9 +3,9 @@
 All policies share the same skeleton: the most recent `recent` context
 positions are kept unconditionally (counted inside capacity), and the rest of
 a head's capacity is filled with the highest-scoring older positions, ties
-going to the lower index. They differ in where the scores come from: the
-window-averaged attention as-is, spectrally smoothed, pooled, or accumulated
-over the whole trace.
+going to the lower index. They differ in how they rank the observation
+window's mean attention: as-is, spectrally smoothed, or pooled, per head or
+across a layer.
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ def rank_scores(
     """The scores `select_audiokv` ranks, and the value sort of their evictable prefix.
 
     Every plan selected from one window with one SSS config and recent
-    window ranks the same two arrays, so a caller selecting under several
-    plans builds them once and passes them to `select_audiokv` as `ranking`.
+    window ranks the same two arrays, so `metrics.score_rows` builds them
+    once per layer block and config and selects every plan from them in one
+    `_retain`.
     """
     scores = window.aggregated
     boundary = _evictable(window.context_length, recent)
@@ -226,17 +227,10 @@ def select_audiokv(
     plan: BudgetPlan,
     sss_cfg: SssConfig | None,
     recent: int = DEFAULT_RECENT,
-    ranking: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EvictionResult:
-    """Head-budgeted top-score retention, optionally smoothing scores first.
-
-    `ranking`, if given, must be `rank_scores(window, sss_cfg, recent)`;
-    without it that is built here.
-    """
+    """Head-budgeted top-score retention, optionally smoothing scores first."""
     _check_dims(window, plan)
-    if ranking is None:
-        ranking = rank_scores(window, sss_cfg, recent)
-    scores, ranked = ranking
+    scores, ranked = rank_scores(window, sss_cfg, recent)
     name = "audiokv" if sss_cfg is not None else "audiokv-nosss"
     return EvictionResult(name, _retain(scores, plan.capacities, recent, ranked), plan)
 
@@ -259,7 +253,10 @@ def select_h2o(
     capacity_per_head: np.ndarray | int,
     recent: int = DEFAULT_RECENT,
 ) -> EvictionResult:
-    """Heavy-hitter retention: attention mass accumulated over every step."""
+    """Heavy-hitter retention: attention mass accumulated over every step.
+
+    The reference for `select`'s h2o selector, which ranks the window.
+    """
     scores = summed_attention(stream_steps(trace), trace.final_context_length)
     return EvictionResult("h2o", _retain(scores, capacity_per_head, recent))
 
@@ -314,27 +311,27 @@ def select(
     name: str,
     selector: str,
     window: ObservationWindow,
-    trace: AttentionTrace,
     plan: BudgetPlan,
     sss_cfg: SssConfig | None,
     recent: int,
     pool_width: int,
-    ranking: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EvictionResult:
-    """Run `selector` under `plan`, naming the result `name`.
+    """Run `selector` on `window` under `plan`, naming the result `name`.
 
-    audiokv (smoothing with `sss_cfg` if given, `ranking` as in
-    `select_audiokv`), snapkv (pooling over `pool_width`) and h2o (scoring
-    every step of `trace`) keep the plan's per-head capacities; adakv pools
-    each layer's total.
+    audiokv (smoothing with `sss_cfg` if given), snapkv (pooling over
+    `pool_width`) and h2o keep the plan's per-head capacities; adakv pools
+    each layer's total. h2o ranks the window unpooled, as snapkv at pool
+    width 1: the window is the steps' sum that `select_h2o` ranks, divided
+    by the width, which keeps the ranking at a power-of-two width such as
+    the default 32. At other widths rounding may tie two close sums.
     """
     _check_dims(window, plan)
     if selector == "audiokv":
-        result = select_audiokv(window, plan, sss_cfg, recent, ranking)
+        result = select_audiokv(window, plan, sss_cfg, recent)
     elif selector == "snapkv":
         result = select_snapkv(window, plan.capacities, pool_width, recent)
     elif selector == "h2o":
-        result = select_h2o(trace, plan.capacities, recent)
+        result = select_snapkv(window, plan.capacities, 1, recent)
     elif selector == "adakv":
         result = select_adakv(window, plan.capacities.sum(axis=1), recent)
     else:
@@ -345,7 +342,7 @@ def select(
 def save_result(result: EvictionResult, path: str | Path) -> None:
     """Write `result` as the compact JSON `json.dumps` makes of its payload.
 
-    `retained` is written straight from the mask: each head's indices pick
+    `retained` is written from `result.retained`: each head's indices pick
     their decimal texts from one table built per call, so no index becomes
     a Python int on the way to the file.
     """
@@ -361,8 +358,7 @@ def save_result(result: EvictionResult, path: str | Path) -> None:
         return b"[" + b", ".join(items) + b"]"
 
     retained = listed(
-        listed(listed(digits[np.flatnonzero(head)].tolist()) for head in layer)
-        for layer in result.mask
+        listed(listed(digits[kept].tolist()) for kept in layer) for layer in result.retained
     )
     # "retained" is the last key: it goes in before the payload's closing brace.
     text = json.dumps(payload).encode()

@@ -161,7 +161,8 @@ def save_scores(matrix: HeadScoreMatrix, path: str | Path) -> None:
 
 def load_scores(path: str | Path) -> HeadScoreMatrix:
     """Read a head-score file; every score must be a number in [0, 1], and the
-    header fields JSON integers, `num_samples` >= 0."""
+    header fields JSON integers, `num_layers` and `num_heads` >= 1 and
+    `num_samples` >= 0."""
     payload = read_json(path)
     try:
         scores = np.asarray(payload["scores"], dtype=np.float64)
@@ -169,6 +170,8 @@ def load_scores(path: str | Path) -> HeadScoreMatrix:
         num_samples = json_int(payload["num_samples"], "num_samples")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad head-score file: {exc!r}") from exc
+    if min(header) < 1:
+        raise FormatError(f"{path}: num_layers and num_heads must be >= 1, got {header}")
     if num_samples < 0:
         raise FormatError(f"{path}: num_samples must be >= 0, got {num_samples}")
     if scores.shape != header:

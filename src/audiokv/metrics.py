@@ -290,20 +290,20 @@ def run_comparison(
     if not policies:
         return []
     obs_steps, context = eviction_boundary(trace, observation_width)
-    obs_trace = trace.prefix(obs_steps)
-    window = build_observation_window(obs_trace, obs_steps)
+    window = build_observation_window(trace.prefix(obs_steps), obs_steps)
     future = aggregate_future_attention(trace, obs_steps - 1, trace.num_steps - obs_steps, context)
-    return score_rows(obs_trace, window, future, policies, plans, geom, recent)
+    return score_rows(window, future, policies, plans, geom, recent)
 
 
 def validated_split(
     trace: AttentionTrace, observation_width: int
-) -> tuple[AttentionTrace, ObservationWindow, ObservationWindow] | None:
+) -> tuple[ObservationWindow, ObservationWindow] | None:
     """`validate_trace` of every step, in the pass that sums the observation
     window and the held-out future of `eviction_boundary`.
 
-    Returns the observed prefix of the trace, the window and the future, as
-    `run_comparison` builds them; the future is cut at the window's context.
+    Returns the window and the future, as `run_comparison` builds them; the
+    future is cut at the window's context. Every selector reads only the
+    window, so nothing else of the observed steps is kept.
     A trace too short to split is validated all the same, and None comes
     back: the caller's own `eviction_boundary` raises its `HorizonError`
     after the inputs read before it, so a bad step is reported first.
@@ -315,14 +315,12 @@ def validated_split(
     spans = [(0, obs_steps), (obs_steps, trace.num_steps)]
     window, future = validate_trace(trace, spans, context)
     return (
-        trace.prefix(obs_steps),
         ObservationWindow.mean_of(window, obs_steps),
         ObservationWindow.mean_of(future, trace.num_steps - obs_steps),
     )
 
 
 def score_rows(
-    obs_trace: AttentionTrace,
     window: ObservationWindow,
     future: ObservationWindow,
     policies: list[PolicySpec],
@@ -332,10 +330,10 @@ def score_rows(
 ) -> list[RetentionReport]:
     """Select each (policy, plan) row from `window` and score it against `future`.
 
-    `obs_trace` is the observed prefix of the trace, which only the h2o
-    selector reads. Rows are checked in input order first, so an error names
-    the first bad row: an audiokv row's plan is checked, and a row on any
-    other selector runs through `select` whole. The grid is then ranked,
+    Every selector reads only the window. Rows are checked in input order
+    first, so an error names the first bad row: an audiokv row's plan is
+    checked, and a row on any other selector runs through `select` whole.
+    The grid is then ranked,
     selected and scored one block of layers at a time, each block's float64
     window slice about `SCORE_BLOCK` bytes. In a block, the window's scores
     are smoothed and sorted once per distinct SSS config, and the audiokv
@@ -356,9 +354,8 @@ def score_rows(
             _check_capacities(plan.capacities, recent)
             groups.setdefault(policy.sss, []).append(i)
         else:
-            selected[i] = select(
-                policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent, 1
-            ).mask
+            result = select(policy.name, policy.selector, window, plan, policy.sss, recent, 1)
+            selected[i] = result.mask
     capacities = {
         sss: np.stack([plans[i].capacities for i in rows]) for sss, rows in groups.items()
     }

@@ -95,6 +95,9 @@ def commands() -> list[tuple[list[str], list[str]]]:
 
         for ratio in ("0.4", "0.8"):
             run(f"r{ratio}", "--ratio", ratio, "--scores", "scores.json")
+        # A window whose width is not a power of two: the `w7` plans exceed
+        # every input's cache, so their runs exit before selecting.
+        run("w24", "--window", "24", "--ratio", "0.4", "--scores", "scores.json")
         run("default")
         for flag, value in SETTINGS:
             run(f"scores{flag}", "--scores", "scores.json", flag, value)

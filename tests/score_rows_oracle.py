@@ -65,7 +65,7 @@ def _entropies(masks, bins):
     return np.mean(-_head_sums(terms, occupied).reshape(pairs, -1), axis=-1)
 
 
-def score_rows(obs_trace, window, future, policies, plans, geom, recent):
+def score_rows(window, future, policies, plans, geom, recent):
     """`metrics.score_rows` over the whole grid at once."""
     masks = np.empty((len(plans), *window.shape, window.context_length), dtype=bool)
     ranks = []
@@ -75,9 +75,8 @@ def score_rows(obs_trace, window, future, policies, plans, geom, recent):
             _check_capacities(plan.capacities, recent)
             ranks.append(i)
         else:
-            masks[i] = select(
-                policy.name, policy.selector, window, obs_trace, plan, policy.sss, recent, 1
-            ).mask
+            result = select(policy.name, policy.selector, window, plan, policy.sss, recent, 1)
+            masks[i] = result.mask
     for sss in dict.fromkeys(policies[i].sss for i in ranks):
         rows = [i for i in ranks if policies[i].sss == sss]
         scores, ranked = rank_scores(window, sss, recent)

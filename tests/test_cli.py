@@ -259,6 +259,7 @@ class TestAllocateCmd:
             {"num_layers": 1, "num_heads": 2, "num_samples": -4.5, "scores": [[0.1, 0.2]]},
             {"num_layers": 1, "num_heads": 2, "num_samples": -4, "scores": [[0.1, 0.2]]},
             {"num_layers": True, "num_heads": 2, "num_samples": 3, "scores": [[0.1, 0.2]]},
+            {"num_layers": 1, "num_heads": 0, "num_samples": 0, "scores": [[]]},
         ],
         ids=[
             "missing-scores",
@@ -270,6 +271,7 @@ class TestAllocateCmd:
             "samples-fractional",
             "samples-negative",
             "layers-bool",
+            "no-heads",
         ],
     )
     def test_malformed_scores_file_exits_2(self, tmp_path, capsys, payload):
@@ -367,6 +369,15 @@ class TestSimulateCmd:
         payload = json.loads(out.read_text())
         assert payload["policy"] == policy
         assert len(payload["retained"]) == 2
+
+    def test_head_score_file_without_heads_exits_2(self, fixture_dir, tmp_path, capsys):
+        scores_path, out = tmp_path / "scores.json", tmp_path / "r.json"
+        scores_path.write_text(
+            json.dumps({"num_layers": 1, "num_heads": 0, "num_samples": 0, "scores": [[]]})
+        )
+        assert simulate(fixture_dir, out, "audiokv", "--scores", str(scores_path)) == 2
+        assert "scores.json: num_layers and num_heads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_7_result_bytes_are_pinned(self, tmp_path):
         fx = tmp_path / "fx"

@@ -254,7 +254,7 @@ class TestSelect:
         policy = POLICIES[name]
         sss_cfg = SssConfig() if policy.smooth else None
         plan = self.plan if plan is None else plan
-        return select(name, policy.selector, self.window, self.trace, plan, sss_cfg, 32, 7)
+        return select(name, policy.selector, self.window, plan, sss_cfg, 32, 7)
 
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_result_is_named_and_spends_the_plan(self, name):

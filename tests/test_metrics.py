@@ -248,9 +248,7 @@ class TestRunComparison:
         future = aggregate_future_attention(trace, 31, horizon, context)
         expected = []
         for policy, plan in zip(policies, plans):
-            result = select(
-                policy.name, policy.selector, window, obs_trace, plan, policy.sss, 32, 1
-            )
+            result = select(policy.name, policy.selector, window, plan, policy.sss, 32, 1)
             expected.append(RetentionReport(
                 policy.name, float(result.mask.mean()), oracle_overlap(result, trace, horizon),
                 coverage_entropy(result), retained_mass(result, future),
@@ -306,7 +304,7 @@ def test_compare_grid_rows_run_the_audiokv_selector():
     snapkv_rows = [(p, plan) for p, plan in zip(policies, plans) if p.name == "snapkv"]
     assert len(snapkv_rows) == 3
     for policy, plan in snapkv_rows:
-        result = select(policy.name, policy.selector, window, None, plan, policy.sss, 32, 1)
+        result = select(policy.name, policy.selector, window, plan, policy.sss, 32, 1)
         expected = select_snapkv(window, plan.capacities, 1, 32)
         assert np.array_equal(result.mask, expected.mask)
 

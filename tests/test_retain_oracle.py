@@ -128,7 +128,7 @@ def test_compare_snapkv_row_ranks_a_read_only_window(data, scores):
     recent, caps = data.draw(capacities_for(scores.shape[:2], scores.shape[-1]))
     window = ObservationWindow(width=1, aggregated=scores)
     assert _pool(scores, 1) is scores
-    result = select("snapkv", "snapkv", window, None, plan_of(caps), None, recent, 1)
+    result = select("snapkv", "snapkv", window, plan_of(caps), None, recent, 1)
     assert_same_retained(result.retained, oracle.select_snapkv(window, caps, 1, recent))
 
 
@@ -178,6 +178,21 @@ def test_select_h2o_matches_oracle(data, scores):
     capacity = data.draw(st.integers(recent, context + 3))
     result = select_h2o(trace, capacity, recent)
     assert_same_retained(result.retained, oracle.select_h2o(trace, capacity, recent))
+
+
+@PROPERTY
+@given(data=st.data(), scores=score_tensors(max_context=40), width=st.sampled_from([1, 2, 4, 8]))
+def test_select_h2o_on_the_window_is_select_h2o_on_its_steps(data, scores, width):
+    # `select` ranks the window, the steps' sum divided by their number; at
+    # a power-of-two width the division is exact, so the ranking is the sum's.
+    layers, heads, context = scores.shape
+    contexts = data.draw(st.lists(st.integers(1, context), min_size=width - 1, max_size=width - 1))
+    steps = [data.draw(score_tensors(shape=(layers, heads, c))) for c in sorted(contexts)]
+    trace = trace_of([*steps, scores])
+    recent, caps = data.draw(capacities_for((layers, heads), context))
+    window = build_observation_window(trace, width)
+    result = select("h2o", "h2o", window, plan_of(caps), None, recent, 7)
+    assert_same_retained(result.retained, select_h2o(trace, caps, recent).retained)
 
 
 @PROPERTY

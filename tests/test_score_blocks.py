@@ -43,15 +43,13 @@ def trace_of(attention):
 
 
 def split(trace, width):
-    """`score_rows`' observed prefix, window and future at `width`, as
-    `run_comparison` builds them."""
+    """`score_rows`' window and future at `width`, as `run_comparison` builds them."""
     obs_steps = min(width, trace.num_steps - 1)
-    obs_trace = trace.prefix(obs_steps)
-    window = build_observation_window(obs_trace, obs_steps)
+    window = build_observation_window(trace.prefix(obs_steps), obs_steps)
     future = aggregate_future_attention(
         trace, obs_steps - 1, trace.num_steps - obs_steps, window.context_length
     )
-    return obs_trace, window, future
+    return window, future
 
 
 @st.composite
@@ -70,7 +68,7 @@ def grids(draw):
         rows[rows.sum(axis=-1) == 0] = 1.0
         attention.append((rows / rows.sum(axis=-1, keepdims=True)).astype(np.float32))
     trace = trace_of(attention)
-    obs_trace, window, future = split(trace, draw(st.integers(1, len(contexts))))
+    window, future = split(trace, draw(st.integers(1, len(contexts))))
     context = window.context_length
     recent = draw(st.sampled_from([0, 1, context // 2, context]))
     policies, plans = [], []
@@ -84,7 +82,7 @@ def grids(draw):
         policies.append(PolicySpec(f"p{i}", selector, sss))
         plans.append(plan_of(capacities))
     per_block = draw(st.integers(1, layers))
-    return (obs_trace, window, future, policies, plans, recent), per_block
+    return (window, future, policies, plans, recent), per_block
 
 
 def blocks_of(per_block, window):
@@ -96,8 +94,8 @@ def blocks_of(per_block, window):
 @settings(max_examples=200, deadline=None)
 @given(grid=grids())
 def test_block_wise_reports_are_the_whole_grids_bit_for_bit(grid):
-    (obs_trace, window, future, policies, plans, recent), per_block = grid
-    args = (obs_trace, window, future, policies, plans, KvGeometry(), recent)
+    (window, future, policies, plans, recent), per_block = grid
+    args = (window, future, policies, plans, KvGeometry(), recent)
     expected = oracle.score_rows(*args)
     with mock.patch.object(metrics, "SCORE_BLOCK", blocks_of(per_block, window)):
         reports = score_rows(*args)
@@ -110,10 +108,10 @@ def test_a_ragged_last_block_scores_like_the_rest():
     contexts = (20, 24, 29, 33)
     attention = [rng.random((7, 2, c)).astype(np.float32) for c in contexts]
     trace = trace_of([a / a.sum(axis=-1, keepdims=True) for a in attention])
-    obs_trace, window, future = split(trace, 2)
+    window, future = split(trace, 2)
     policies = [PolicySpec("a"), PolicySpec("b", "snapkv"), PolicySpec("c", sss=SssConfig())]
     plans = [plan_of(np.full((7, 2), c, dtype=np.int64)) for c in (8, 12, 20)]
-    args = (obs_trace, window, future, policies, plans, KvGeometry(), 4)
+    args = (window, future, policies, plans, KvGeometry(), 4)
     with mock.patch.object(metrics, "SCORE_BLOCK", blocks_of(3, window)):
         assert score_rows(*args) == oracle.score_rows(*args)
 
@@ -126,19 +124,19 @@ class TestErrorOrder:
         rng = np.random.default_rng(2)
         attention = [rng.random((3, 2, c)).astype(np.float32) for c in (30, 34, 40)]
         trace = trace_of([a / a.sum(axis=-1, keepdims=True) for a in attention])
-        obs_trace, window, future = split(trace, 2)
+        window, future = split(trace, 2)
         plans = [plan_of(np.full((3, 2), 20, dtype=np.int64)) for _ in range(4)]
-        return obs_trace, window, future, plans
+        return window, future, plans
 
     @pytest.mark.parametrize("per_block", [1, 3])
     @pytest.mark.parametrize("selector", ["snapkv", "h2o", "adakv"])
     def test_a_bad_other_selector_row_before_a_bad_audiokv_row(self, per_block, selector):
-        obs_trace, window, future, plans = self.rows()
+        window, future, plans = self.rows()
         plans[1].capacities[2] = 5  # below the recent window of 8, in a later block
         plans[2].capacities[0, 0] = 3
         policies = [PolicySpec("a"), PolicySpec("b", selector), PolicySpec("c", sss=SssConfig()),
                     PolicySpec("d")]
-        args = (obs_trace, window, future, policies, plans, KvGeometry(), 8)
+        args = (window, future, policies, plans, KvGeometry(), 8)
         message = "layer budget" if selector == "adakv" else "^capacity 5 < recent window 8$"
         for call in (oracle.score_rows, score_rows):
             with mock.patch.object(metrics, "SCORE_BLOCK", blocks_of(per_block, window)):
@@ -147,12 +145,12 @@ class TestErrorOrder:
 
     @pytest.mark.parametrize("selector", ["snapkv", "h2o", "adakv"])
     def test_a_bad_audiokv_row_before_a_bad_other_selector_row(self, selector):
-        obs_trace, window, future, plans = self.rows()
+        window, future, plans = self.rows()
         plans[1].capacities[1, 0] = 4
         plans[2] = plan_of(np.full((2, 2), 20, dtype=np.int64))  # shaped for other heads
         policies = [PolicySpec("a"), PolicySpec("b", sss=SssConfig()), PolicySpec("c", selector),
                     PolicySpec("d")]
-        args = (obs_trace, window, future, policies, plans, KvGeometry(), 8)
+        args = (window, future, policies, plans, KvGeometry(), 8)
         for call in (oracle.score_rows, score_rows):
             with pytest.raises(CapacityBelowRecentError, match="^capacity 4 < recent window 8$"):
                 call(*args)
@@ -185,7 +183,7 @@ def test_score_rows_holds_a_small_share_of_the_mask_stack():
             policy = POLICIES[name]
             policies.append(PolicySpec(name, sss=SssConfig() if policy.smooth else None))
             plans.append(make_plan(scores, budget, policy.mode, recent, 0.5))
-    args = (None, window, future, policies, plans, KvGeometry(), recent)
+    args = (window, future, policies, plans, KvGeometry(), recent)
     score_rows(*args)  # imports and caches outside the measurement
     tracemalloc.start()
     try:

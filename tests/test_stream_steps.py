@@ -8,14 +8,16 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from audiokv import eviction, heads, metrics
 from audiokv import trace as trace_module
 from audiokv.cli import RunConfig, main
-from audiokv.eviction import build_observation_window
+from audiokv.eviction import POLICIES, build_observation_window
 from audiokv.fixtures import generate_fixture
 from audiokv.heads import score_heads
 from audiokv.metrics import (
@@ -97,6 +99,31 @@ def test_a_trace_in_memory_streams_its_steps_and_releases_nothing():
     assert list(stream_steps(trace, 0, 0)) == []
 
 
+def test_simulate_streams_each_step_once_for_every_policy(tmp_path, monkeypatch):
+    # Every policy selects from the window that the validating pass sums, so
+    # no selector reads a step again.
+    _, trace = mapped_fixture(tmp_path)
+    files = {name: str(tmp_path / name) for name in ("trace.akvt", "alignment.json", "s.json")}
+    assert main(["score-heads", "--trace", files["trace.akvt"], "--alignment",
+                 files["alignment.json"], "--out", files["s.json"]]) == 0
+    streamed = Counter()
+    stream_steps = trace_module.stream_steps
+
+    def counted(*args, **kwargs):
+        for step in stream_steps(*args, **kwargs):
+            streamed[step.step_index] += 1
+            yield step
+
+    for module in (trace_module, eviction, metrics, heads):
+        monkeypatch.setattr(module, "stream_steps", counted)
+    for policy in POLICIES:
+        streamed.clear()
+        argv = ["simulate", "--trace", files["trace.akvt"], "--policy", policy, "--scores",
+                files["s.json"], "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert streamed == Counter(range(trace.num_steps)), policy
+
+
 @pytest.mark.parametrize("profile, seed", [("spike-plateau", 3), ("specialized-heads", 0)])
 def test_a_mapped_trace_reads_the_bits_of_the_same_trace_in_memory(
     tmp_path, monkeypatch, profile, seed
@@ -110,8 +137,8 @@ def test_a_mapped_trace_reads_the_bits_of_the_same_trace_in_memory(
     obs_steps, _ = eviction_boundary(memory, cfg.window)
 
     splits = [validated_split(trace, cfg.window) for trace in (mapped, memory)]
-    for trace, (obs_trace, window, future) in zip((mapped, memory), splits):
-        assert obs_trace.num_steps == obs_steps
+    for trace, (window, future) in zip((mapped, memory), splits):
+        assert window.width == obs_steps
         rebuilt = (
             build_observation_window(trace.prefix(obs_steps), obs_steps),
             aggregate_future_attention(
@@ -120,7 +147,7 @@ def test_a_mapped_trace_reads_the_bits_of_the_same_trace_in_memory(
         )
         for summed, again in zip((window, future), rebuilt):
             assert summed.aggregated.tobytes() == again.aggregated.tobytes()
-    for ours, theirs in zip(splits[0][1:], splits[1][1:]):
+    for ours, theirs in zip(splits[0], splits[1]):
         assert ours.aggregated.tobytes() == theirs.aggregated.tobytes()
 
     words = filter_words(fixture.words, cfg.tau)
