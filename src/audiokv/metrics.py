@@ -303,10 +303,10 @@ def validated_split(
 
     Returns the window and the future, as `run_comparison` builds them; the
     future is cut at the window's context. Every selector reads only the
-    window, so nothing else of the observed steps is kept.
-    A trace too short to split is validated all the same, and None comes
-    back: the caller's own `eviction_boundary` raises its `HorizonError`
-    after the inputs read before it, so a bad step is reported first.
+    window, so nothing else of the observed steps is kept. A trace too short
+    to split is validated all the same, and None comes back: the caller's
+    own `eviction_boundary` raises its `HorizonError` after the inputs read
+    before it, so a bad step is reported first.
     """
     if trace.num_steps < 2:
         validate_trace(trace)
@@ -330,10 +330,10 @@ def score_rows(
 ) -> list[RetentionReport]:
     """Select each (policy, plan) row from `window` and score it against `future`.
 
-    Every selector reads only the window. Rows are checked in input order
-    first, so an error names the first bad row: an audiokv row's plan is
-    checked, and a row on any other selector runs through `select` whole.
-    The grid is then ranked,
+    Every selector reads only the window, not the trace's steps.
+    Rows are checked in input order first, so an error names
+    the first bad row: an audiokv row's plan is checked, and a row on any
+    other selector runs through `select` whole. The grid is then ranked,
     selected and scored one block of layers at a time, each block's float64
     window slice about `SCORE_BLOCK` bytes. In a block, the window's scores
     are smoothed and sorted once per distinct SSS config, and the audiokv
